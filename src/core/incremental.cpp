@@ -105,18 +105,12 @@ std::uint32_t IncrementalAtoms::local_path_id(bgp::PathId stream_id) {
   }
   std::uint32_t& memo = path_memo_[stream_id];
   if (memo != kUnmapped) return memo;
-  // Same AS_SET policy as sanitize pass 3: multi-member sets drop the
-  // announcement, singleton sets are expanded before interning.
-  const net::AsPath& raw = stream_paths_->get(stream_id);
-  if (raw.has_set()) {
-    if (!raw.sets_all_singleton()) {
-      memo = kDroppedPath;
-      return memo;
-    }
-    memo = pool_->intern(raw.with_singleton_sets_expanded());
-  } else {
-    memo = pool_->intern(raw);
+  const CleanPath clean = clean_path(stream_paths_->get(stream_id), *pool_);
+  if (clean.fate == CleanPath::Fate::kDropped) {
+    memo = kDroppedPath;
+    return memo;
   }
+  memo = clean.id;
   check_packing_limits(matrix_.num_vps(), pool_->size());
   return memo;
 }

@@ -11,7 +11,8 @@
 //      least `full_feed_fraction` (default 90%) of the maximum unique-prefix
 //      count any remaining peer carries.
 //   3. Record cleaning: drop corrupt records, expand singleton AS_SETs,
-//      drop paths with multi-member AS_SETs, deduplicate.
+//      drop paths with multi-member AS_SETs, deduplicate (first record in
+//      feed order wins).
 //   4. Prefix filtering: keep prefixes seen by >= `min_collectors` route
 //      collectors and >= `min_peer_ases` distinct peer ASes, with length
 //      <= /24 (IPv4) or /48 (IPv6). All thresholds are configurable so the
@@ -109,9 +110,27 @@ struct SanitizedSnapshot {
   }
 };
 
+/// Where one raw path lands under the §2.4.4 AS_SET policy.
+struct CleanPath {
+  /// Id in the destination pool; kEmptyPathId when the path is dropped.
+  bgp::PathId id = net::PathPool::kEmptyPathId;
+  enum class Fate : std::uint8_t { kAsIs, kExpanded, kDropped };
+  Fate fate = Fate::kAsIs;
+};
+
+/// The §2.4.4 AS_SET policy, shared by sanitize and IncrementalAtoms so
+/// snapshot and update paths are always cleaned alike: a path with a
+/// multi-member AS_SET is dropped; singleton sets are expanded into
+/// sequence hops; what remains is interned into `pool`.
+CleanPath clean_path(const net::AsPath& raw, net::PathPool& pool);
+
 /// Sanitizes one captured snapshot against the dictionaries of `src` (the
 /// raw snapshot may be discarded afterwards; the view's pools must outlive
 /// the result). This is the one code path both backends run through.
+///
+/// Within one peer's table the first surviving record for a prefix wins,
+/// in feed order, so a VP's cleaned table never depends on which other
+/// peers are kept.
 SanitizedSnapshot sanitize(const bgp::SnapshotView& src,
                            const bgp::Snapshot& snap,
                            const SanitizeConfig& config = {});

@@ -1,7 +1,15 @@
-// Tests for the §2.4 sanitization pipeline on hand-built dirty datasets.
+// Tests for the §2.4 sanitization pipeline on hand-built dirty datasets,
+// plus a seeded differential test against the reference implementation in
+// sanitize_reference.h.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "bgp/views.h"
 #include "core/sanitize.h"
+#include "net/rng.h"
+#include "sanitize_reference.h"
 #include "testutil.h"
 
 namespace bgpatoms::core {
@@ -282,6 +290,24 @@ TEST(Sanitize, DuplicateRecordsCollapse) {
   ASSERT_EQ(snap.vps[0].routes.size(), 1u);
 }
 
+TEST(Sanitize, DedupKeepsFirstRecordInFeedOrder) {
+  // Peer 200 announces 10.0/16 via "7 6", then again via "9 8". The first
+  // record wins, whether or not another peer interned "9 8" earlier: one
+  // VP's cleaned table must not depend on which other peers are kept.
+  for (const bool with_peer_100 : {true, false}) {
+    SCOPED_TRACE(with_peer_100 ? "with peer 100" : "without peer 100");
+    DatasetBuilder b;
+    if (with_peer_100) b.peer(100).route("10.1.0.0/16", "9 8");
+    b.peer(200).route("10.0.0.0/16", "7 6").route("10.0.0.0/16", "9 8");
+    const auto snap = sanitize(b.dataset(), 0, test::lax_config());
+    const auto& table = snap.vps.back();
+    ASSERT_EQ(table.peer.asn, 200u);
+    ASSERT_EQ(table.routes.size(), 1u);
+    EXPECT_EQ(snap.paths.get(table.routes[0].second),
+              net::AsPath::sequence({7, 6}));
+  }
+}
+
 TEST(Sanitize, MoasCountedNotRemoved) {
   DatasetBuilder b;
   b.peer(100).route("10.0.0.0/16", "100 1");
@@ -299,6 +325,202 @@ TEST(Sanitize, PathForLookup) {
   const auto present = snap.prefixes[0];
   EXPECT_NE(table.path_for(present), net::PathPool::kEmptyPathId);
   EXPECT_EQ(table.path_for(9999), net::PathPool::kEmptyPathId);
+}
+
+/// Seeded dirty snapshots covering every rule sanitize applies:
+/// duplicates with differing paths, singleton and multi-member AS_SETs,
+/// bogons at and behind the head hop, ADD-PATH statuses, peers sharing a
+/// collector, an ASN or both, partial feeds, over-long prefixes, MOAS,
+/// unsorted feeds, and dictionary entries no record uses.
+bgp::Dataset random_dirty_dataset(std::uint64_t seed) {
+  Rng rng(seed);
+  bgp::Dataset ds;
+  ds.family = seed % 5 == 4 ? net::Family::kIPv6 : net::Family::kIPv4;
+  ds.collectors = {"rrc00", "rrc01", "rrc02"};
+  const bool v4 = ds.family == net::Family::kIPv4;
+
+  struct PrefixPlan {
+    bgp::PrefixId id = 0;
+    net::Asn origin = 0;
+  };
+  std::vector<PrefixPlan> plan;
+  const auto num_prefixes = 30 + rng.next_below(40);
+  for (std::uint64_t i = 0; i < num_prefixes; ++i) {
+    const auto n = static_cast<std::uint32_t>(i + 1);
+    const net::Prefix prefix =
+        v4 ? net::Prefix::v4((10u << 24) | (n << 16),
+                             static_cast<int>(rng.next_int(16, 27)))
+           : net::Prefix::v6(0x20010db800000000ULL | (std::uint64_t{n} << 16),
+                             0, static_cast<int>(rng.next_int(40, 56)));
+    const auto id = ds.prefixes.intern(prefix);
+    // Every fifth prefix stays in the dictionary only.
+    if (i % 5 != 3) {
+      plan.push_back({id, static_cast<net::Asn>(1000 + rng.next_below(12))});
+    }
+  }
+
+  const auto random_path = [&](net::Asn head, net::Asn origin,
+                               bool inject_bogon) {
+    if (rng.chance(0.01)) return net::AsPath{};
+    std::vector<net::PathSegment> segs;
+    std::vector<net::Asn> hops = {rng.chance(0.95) ? head : net::Asn{65010}};
+    const auto middle = rng.next_below(3);
+    for (std::uint64_t h = 0; h < middle; ++h) {
+      hops.push_back(static_cast<net::Asn>(20 + rng.next_below(6)));
+    }
+    if (inject_bogon || rng.chance(0.03)) {
+      const net::Asn bogons[] = {65000, 64512, 23456, 0, 4200000001u};
+      hops.push_back(bogons[rng.next_below(5)]);
+    }
+    if (rng.chance(0.05)) {  // a singleton set in the middle
+      segs.push_back({net::SegmentType::kSequence, hops});
+      hops = {static_cast<net::Asn>(30 + rng.next_below(3))};
+      segs.push_back({net::SegmentType::kSet, hops});
+      hops.clear();
+    }
+    const double tail = rng.next_double();
+    if (tail < 0.08) {  // singleton AS_SET origin
+      segs.push_back({net::SegmentType::kSequence, hops});
+      segs.push_back({net::SegmentType::kSet, {origin}});
+    } else if (tail < 0.13) {  // multi-member AS_SET
+      segs.push_back({net::SegmentType::kSequence, hops});
+      segs.push_back({net::SegmentType::kSet, {origin, origin + 1}});
+    } else {
+      hops.push_back(origin);
+      segs.push_back({net::SegmentType::kSequence, hops});
+    }
+    return net::AsPath::from_segments(std::move(segs));
+  };
+
+  const net::Asn peer_asns[] = {100, 200, 300, 400, 64600};
+  for (bgp::Timestamp t : {bgp::Timestamp{1000}, bgp::Timestamp{2000}}) {
+    bgp::Snapshot snap;
+    snap.timestamp = t;
+    const auto num_peers = 5 + rng.next_below(9);
+    for (std::uint64_t k = 0; k < num_peers; ++k) {
+      bgp::PeerFeed feed;
+      feed.peer.asn = peer_asns[rng.next_below(5)];
+      feed.peer.collector = static_cast<bgp::CollectorIndex>(rng.next_below(3));
+      feed.peer.address =
+          net::IpAddress::v4(0x0A000000u + static_cast<std::uint32_t>(k));
+      const double coverage =
+          rng.chance(0.7) ? 1.0 : 0.4 + 0.5 * rng.next_double();
+      const double corrupt = rng.chance(0.15) ? 0.06 : 0.005;
+      const double dups = rng.chance(0.2) ? 0.2 : 0.03;
+      const bool injector = rng.chance(0.15);
+      for (const auto& p : plan) {
+        if (rng.next_double() >= coverage) continue;
+        const net::Asn origin = rng.chance(0.08) ? p.origin + 50 : p.origin;
+        const auto copies = rng.chance(dups) ? 2 : 1;
+        for (int c = 0; c < copies; ++c) {
+          bgp::RibRecord rec;
+          rec.prefix = p.id;
+          rec.path = ds.paths.intern(random_path(
+              feed.peer.asn, origin, injector && rng.chance(0.4)));
+          if (rng.chance(corrupt)) {
+            rec.status = rng.chance(0.5) ? bgp::RecordStatus::kCorruptSubtype
+                                         : bgp::RecordStatus::kInvalidNlri;
+          }
+          feed.records.push_back(rec);
+        }
+      }
+      if (rng.chance(0.4)) rng.shuffle(feed.records);
+      snap.peers.push_back(std::move(feed));
+    }
+    ds.snapshots.push_back(std::move(snap));
+  }
+  return ds;
+}
+
+/// Requires every field of the two sanitized snapshots to be equal.
+void expect_same_snapshot(const SanitizedSnapshot& got,
+                          const SanitizedSnapshot& want) {
+  EXPECT_EQ(got.prefix_pool, want.prefix_pool);
+  EXPECT_EQ(got.timestamp, want.timestamp);
+  const auto& g = got.report;
+  const auto& w = want.report;
+  EXPECT_EQ(g.peers_in, w.peers_in);
+  EXPECT_EQ(g.full_feed_peers, w.full_feed_peers);
+  EXPECT_EQ(g.max_unique_prefixes, w.max_unique_prefixes);
+  EXPECT_EQ(g.prefixes_in, w.prefixes_in);
+  EXPECT_EQ(g.prefixes_kept, w.prefixes_kept);
+  EXPECT_EQ(g.prefixes_dropped_visibility, w.prefixes_dropped_visibility);
+  EXPECT_EQ(g.prefixes_dropped_length, w.prefixes_dropped_length);
+  EXPECT_EQ(g.records_dropped_corrupt, w.records_dropped_corrupt);
+  EXPECT_EQ(g.records_dropped_asset, w.records_dropped_asset);
+  EXPECT_EQ(g.asset_paths_expanded, w.asset_paths_expanded);
+  EXPECT_EQ(g.moas_prefixes, w.moas_prefixes);
+  ASSERT_EQ(g.removed_peers.size(), w.removed_peers.size());
+  for (std::size_t i = 0; i < g.removed_peers.size(); ++i) {
+    EXPECT_EQ(g.removed_peers[i].peer, w.removed_peers[i].peer);
+    EXPECT_EQ(g.removed_peers[i].reason, w.removed_peers[i].reason);
+    EXPECT_EQ(g.removed_peers[i].artifact_share,
+              w.removed_peers[i].artifact_share);
+  }
+  ASSERT_EQ(got.vps.size(), want.vps.size());
+  for (std::size_t i = 0; i < got.vps.size(); ++i) {
+    EXPECT_EQ(got.vps[i].peer, want.vps[i].peer);
+    EXPECT_EQ(got.vps[i].source_index, want.vps[i].source_index);
+    EXPECT_EQ(got.vps[i].routes, want.vps[i].routes);
+  }
+  EXPECT_EQ(got.prefixes, want.prefixes);
+  ASSERT_EQ(got.paths.size(), want.paths.size());
+  for (bgp::PathId id = 0; id < got.paths.size(); ++id) {
+    EXPECT_EQ(got.paths.get(id), want.paths.get(id)) << "path id " << id;
+  }
+}
+
+TEST(Sanitize, MatchesReferenceOnRandomDirtySnapshots) {
+  std::vector<SanitizeConfig> configs;
+  for (int mask = 0; mask < 32; ++mask) {
+    SanitizeConfig c;
+    c.remove_abnormal_peers = (mask & 1) != 0;
+    c.filter_prefixes = (mask & 2) != 0;
+    c.full_feed_only = (mask & 4) != 0;
+    c.max_prefix_length = (mask & 8) != 0 ? 128 : 0;
+    if ((mask & 16) != 0) {  // thresholds small tables can pass
+      c.min_collectors = 1;
+      c.min_peer_ases = 2;
+      c.full_feed_fraction = 0.6;
+    }
+    configs.push_back(c);
+  }
+  SanitizeReport seen;  // coverage of the generator under the defaults
+  std::size_t removed[4] = {};
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    const bgp::Dataset ds = random_dirty_dataset(seed);
+    const bgp::DatasetView view(ds);
+    for (std::size_t s = 0; s < ds.snapshots.size(); ++s) {
+      for (std::size_t c = 0; c < configs.size(); ++c) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " snapshot " +
+                     std::to_string(s) + " config " + std::to_string(c));
+        const auto got = sanitize(view, ds.snapshots[s], configs[c]);
+        expect_same_snapshot(
+            got, test::reference_sanitize(view, ds.snapshots[s], configs[c]));
+        if (c != 7 && c != 23) continue;  // defaults, both threshold sets
+        seen.records_dropped_corrupt += got.report.records_dropped_corrupt;
+        seen.records_dropped_asset += got.report.records_dropped_asset;
+        seen.asset_paths_expanded += got.report.asset_paths_expanded;
+        seen.prefixes_dropped_length += got.report.prefixes_dropped_length;
+        seen.prefixes_dropped_visibility +=
+            got.report.prefixes_dropped_visibility;
+        seen.prefixes_kept += got.report.prefixes_kept;
+        seen.moas_prefixes += got.report.moas_prefixes;
+        for (const auto& r : got.report.removed_peers) {
+          ++removed[static_cast<int>(r.reason)];
+        }
+      }
+    }
+  }
+  // Every rule fired somewhere, so the comparison above covered it.
+  EXPECT_GT(seen.records_dropped_corrupt, 0u);
+  EXPECT_GT(seen.records_dropped_asset, 0u);
+  EXPECT_GT(seen.asset_paths_expanded, 0u);
+  EXPECT_GT(seen.prefixes_dropped_length, 0u);
+  EXPECT_GT(seen.prefixes_dropped_visibility, 0u);
+  EXPECT_GT(seen.prefixes_kept, 0u);
+  EXPECT_GT(seen.moas_prefixes, 0u);
+  for (const std::size_t n : removed) EXPECT_GT(n, 0u);
 }
 
 TEST(Sanitize, ReasonStrings) {
