@@ -5,7 +5,7 @@
 //   bga_dump campaign.bga --peers          # per-peer table statistics
 //   bga_dump campaign.bga --collector rrc00 --peer-asn 64496 --text
 //
-// All modes stream the archive through bgp::ArchiveReader: a v2 file is
+// All modes stream the archive through bgp::ArchiveReader: the file is
 // decoded one CRC-checked section at a time, so even a multi-GB archive
 // needs only dictionary + one-section memory and --text starts printing
 // before the file tail is read.
@@ -14,10 +14,11 @@
 #include <unordered_set>
 
 #include "bgp/archive_reader.h"
+#include "bgp/archive_view.h"
 #include "cli/args.h"
 #include "net/prefix.h"
 #include "obs/obs.h"
-#include "stream/file_reader.h"
+#include "stream/reader.h"
 
 using namespace bgpatoms;
 
@@ -35,7 +36,7 @@ constexpr char kUsage[] =
     "  --prefix <p>       restrict to prefixes within <p>: CIDR, or a bare\n"
     "                     address as a host route (e.g. 10.0.0.0/8)\n"
     "  --time-begin <t>   drop records with timestamp < t\n"
-    "  --time-end <t>     drop records with timestamp >= t\n"
+    "  --time-end <t>     drop records with timestamp > t\n"
     "  --rib-only         RIB rows only (no update NLRIs)\n"
     "  --updates-only     update NLRIs only (no RIB rows)\n"
     "  --metrics          print instrumentation counters/timers to stderr\n"
@@ -50,7 +51,7 @@ struct MetricsAtExit {
 };
 
 void print_summary(bgp::ArchiveReader& reader) {
-  std::printf("format:      BGA v%d\n", static_cast<int>(reader.version()));
+  std::printf("format:      BGA v2\n");
   std::printf("family:      IPv%d\n",
               reader.family() == net::Family::kIPv4 ? 4 : 6);
   std::printf("collectors:  %zu (", reader.collectors().size());
@@ -105,7 +106,9 @@ void print_peers(bgp::ArchiveReader& reader) {
 }
 
 void print_text(const std::string& path, const stream::Filters& filters) {
-  stream::FileRecordReader reader(path, filters);
+  // Records point into the view's dictionaries: it outlives the loop.
+  bgp::ArchiveView view(path);
+  stream::RecordReader reader(view, view, filters);
   while (auto rec = reader.next()) {
     const char* kind = rec->type == stream::RecordType::kRibEntry ? "B"
                        : rec->type == stream::RecordType::kAnnouncement

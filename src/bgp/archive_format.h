@@ -1,6 +1,6 @@
-// Internal shared pieces of the BGA format: magics, v2 section framing, and
-// the per-section encode/decode routines used by both the in-memory codec
-// (archive.cpp) and the streaming file reader (archive_reader.cpp).
+// Internal shared pieces of the BGA format: the magic, section framing, and
+// the per-section encode/decode routines used by the writer (archive.cpp)
+// and by ArchiveReader (archive_reader.cpp).
 //
 // Not part of the public API — include archive.h / archive_reader.h instead.
 #pragma once
@@ -13,11 +13,10 @@
 
 namespace bgpatoms::bgp::archive_detail {
 
-inline constexpr char kMagicV1[4] = {'B', 'G', 'A', '1'};
-inline constexpr char kMagicV2[4] = {'B', 'G', 'A', '2'};
+inline constexpr char kMagic[4] = {'B', 'G', 'A', '2'};
 
-/// v2 section ids. After the 9-byte header (magic + family + CRC-32 of
-/// those 5 bytes), a v2 image is a run of sections, each framed as
+/// Section ids. After the 9-byte header (magic + family + CRC-32 of those
+/// 5 bytes), an image is a run of sections, each framed as
 ///
 ///   id       u8
 ///   length   u64 little-endian (payload bytes)
@@ -37,7 +36,7 @@ enum class Section : std::uint8_t {
   kUpdates = 6,    // a self-contained chunk (timestamp deltas restart at 0)
 };
 
-/// Updates per v2 chunk: large enough to amortize framing, small enough to
+/// Updates per chunk: large enough to amortize framing, small enough to
 /// bound the reader's transient buffer on multi-GB archives.
 inline constexpr std::size_t kUpdatesPerChunk = 1 << 16;
 
@@ -53,7 +52,6 @@ inline constexpr std::size_t kMinCommunityBytes = 1;
 inline constexpr std::size_t kMinRibRecordBytes = 4;
 inline constexpr std::size_t kMinUpdateBytes = 7;
 inline constexpr std::size_t kMinPrefixIdBytes = 1;
-inline constexpr std::size_t kMinSnapshotBytes = 2;
 
 inline std::size_t min_prefix_entry_bytes(net::Family f) {
   return f == net::Family::kIPv4 ? 5 : 17;

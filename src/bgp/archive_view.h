@@ -8,11 +8,6 @@
 // therefore stays at max(largest snapshot, largest snapshot-to-chunk
 // overlap) and does not grow with the number of snapshots in the archive;
 // bench/perf_archive --rss-guard enforces this.
-//
-// v1 archives are served through the same interface, but their whole-image
-// CRC forces ArchiveReader to materialize the file, so the residency bound
-// above is a v2-only guarantee (the view's own slots still hold one
-// snapshot/chunk; ArchiveReader::peak_buffer_bytes() reports the truth).
 #pragma once
 
 #include <optional>
@@ -26,8 +21,8 @@ namespace bgpatoms::bgp {
 
 class ArchiveView final : public SnapshotView, public UpdateStreamView {
  public:
-  /// Opens `path` (v1 or v2). Throws ArchiveError on malformed input;
-  /// later cursor calls throw if a section turns out corrupt or truncated.
+  /// Opens `path`. Throws ArchiveError on malformed input; later cursor
+  /// calls throw if a section turns out corrupt or truncated.
   explicit ArchiveView(const std::string& path);
 
   net::Family family() const override { return reader_.family(); }
@@ -48,7 +43,7 @@ class ArchiveView final : public SnapshotView, public UpdateStreamView {
 
   std::size_t peak_resident_records() const override { return peak_resident_; }
 
-  /// The underlying reader (version, file/peak-buffer byte counters).
+  /// The underlying reader (file/peak-buffer byte counters).
   const ArchiveReader& archive() const { return reader_; }
 
  private:

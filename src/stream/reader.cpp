@@ -2,53 +2,69 @@
 
 namespace bgpatoms::stream {
 
-RecordReader::RecordReader(const bgp::Dataset& ds, Filters filters)
-    : ds_(ds), filters_(std::move(filters)) {
-  if (!filters_.include_rib) in_updates_ = true;
-}
+RecordReader::RecordReader(bgp::SnapshotView& snapshots,
+                           bgp::UpdateStreamView& updates, Filters filters)
+    : snapshots_(snapshots),
+      updates_(updates),
+      filters_(std::move(filters)),
+      collectors_(snapshots.collectors()),
+      paths_(snapshots.paths()),
+      prefixes_(snapshots.prefixes()),
+      communities_(snapshots.communities()) {}
 
-bool RecordReader::match_common(std::string_view collector,
-                                net::Asn peer) const {
-  return filters_match(filters_, collector, peer);
+bool RecordReader::keep(std::string_view collector, net::Asn peer,
+                        const net::Prefix& prefix) const {
+  if (filters_.collector && collector != *filters_.collector) return false;
+  if (filters_.peer_asn && peer != *filters_.peer_asn) return false;
+  return !filters_.prefix_within || filters_.prefix_within->contains(prefix);
 }
 
 std::optional<Record> RecordReader::next() {
   // --- RIB phase -----------------------------------------------------------
-  while (!in_updates_) {
-    if (snap_ >= ds_.snapshots.size()) {
-      in_updates_ = true;
-      break;
-    }
-    const auto& snap = ds_.snapshots[snap_];
-    if (snap.timestamp < filters_.time_begin ||
-        snap.timestamp > filters_.time_end || peer_ >= snap.peers.size()) {
-      ++snap_;
+  while (!rib_done_) {
+    if (!snap_) {
+      snap_ = snapshots_.next_snapshot();
+      if (!snap_) {
+        rib_done_ = true;
+        break;
+      }
       peer_ = 0;
       rec_ = 0;
+      if (!have_first_peers_) {
+        have_first_peers_ = true;
+        for (const auto& feed : snap_->peers) first_peers_.push_back(feed.peer);
+      }
+      // Snapshots outside the window (or with RIBs filtered out entirely)
+      // are still walked, just not emitted: the first one names the peers.
+      if (!filters_.include_rib || !in_window(snap_->timestamp)) {
+        snap_ = nullptr;
+      }
       continue;
     }
-    const auto& feed = snap.peers[peer_];
+    if (peer_ >= snap_->peers.size()) {
+      snap_ = nullptr;
+      continue;
+    }
+    const auto& feed = snap_->peers[peer_];
     if (rec_ >= feed.records.size()) {
       ++peer_;
       rec_ = 0;
       continue;
     }
     const auto& rec = feed.records[rec_++];
-    const auto& collector = ds_.collectors[feed.peer.collector];
-    if (!match_common(collector, feed.peer.asn)) continue;
-    const auto& prefix = ds_.prefixes.get(rec.prefix);
-    if (filters_.prefix_within && !filters_.prefix_within->contains(prefix))
-      continue;
+    const auto& collector = collectors_[feed.peer.collector];
+    const auto& prefix = prefixes_.get(rec.prefix);
+    if (!keep(collector, feed.peer.asn, prefix)) continue;
 
     Record out;
     out.type = RecordType::kRibEntry;
-    out.timestamp = snap.timestamp;
+    out.timestamp = snap_->timestamp;
     out.collector = collector;
     out.peer_asn = feed.peer.asn;
     out.peer_address = feed.peer.address;
     out.prefix = prefix;
-    out.path = &ds_.paths.get(rec.path);
-    out.communities = ds_.communities.get(rec.communities);
+    out.path = &paths_.get(rec.path);
+    out.communities = communities_.get(rec.communities);
     out.status = rec.status;
     ++count_;
     return out;
@@ -56,11 +72,17 @@ std::optional<Record> RecordReader::next() {
 
   // --- update phase --------------------------------------------------------
   if (!filters_.include_updates) return std::nullopt;
-  while (upd_ < ds_.updates.size()) {
-    const auto& u = ds_.updates[upd_];
+  while (!updates_done_) {
+    if (upd_ >= chunk_.size()) {
+      chunk_ = updates_.next_chunk();
+      upd_ = 0;
+      upd_item_ = 0;
+      updates_done_ = chunk_.empty();
+      continue;
+    }
+    const auto& u = chunk_[upd_];
     const std::size_t total = u.announced.size() + u.withdrawn.size();
-    if (upd_item_ >= total || u.timestamp < filters_.time_begin ||
-        u.timestamp > filters_.time_end) {
+    if (upd_item_ >= total || !in_window(u.timestamp)) {
       ++upd_;
       upd_item_ = 0;
       continue;
@@ -71,21 +93,15 @@ std::optional<Record> RecordReader::next() {
                                   : u.withdrawn[upd_item_ - u.announced.size()];
     ++upd_item_;
 
-    const auto& collector = ds_.collectors[u.collector];
-    // Peer identity: resolve through the first snapshot that has this peer
-    // index (the simulator keeps peer order stable across snapshots).
+    const auto& collector = collectors_[u.collector];
     net::Asn peer_asn = 0;
     net::IpAddress peer_addr;
-    if (!ds_.snapshots.empty() &&
-        u.peer < ds_.snapshots.front().peers.size()) {
-      const auto& p = ds_.snapshots.front().peers[u.peer].peer;
-      peer_asn = p.asn;
-      peer_addr = p.address;
+    if (u.peer < first_peers_.size()) {
+      peer_asn = first_peers_[u.peer].asn;
+      peer_addr = first_peers_[u.peer].address;
     }
-    if (!match_common(collector, peer_asn)) continue;
-    const auto& prefix = ds_.prefixes.get(pid);
-    if (filters_.prefix_within && !filters_.prefix_within->contains(prefix))
-      continue;
+    const auto& prefix = prefixes_.get(pid);
+    if (!keep(collector, peer_asn, prefix)) continue;
 
     Record out;
     out.type = is_announce ? RecordType::kAnnouncement
@@ -95,8 +111,8 @@ std::optional<Record> RecordReader::next() {
     out.peer_asn = peer_asn;
     out.peer_address = peer_addr;
     out.prefix = prefix;
-    out.path = is_announce ? &ds_.paths.get(u.path) : nullptr;
-    out.communities = ds_.communities.get(u.communities);
+    out.path = is_announce ? &paths_.get(u.path) : nullptr;
+    out.communities = communities_.get(u.communities);
     ++count_;
     return out;
   }

@@ -1,5 +1,5 @@
-// Round-trip and corruption tests for the BGA archive format (v1 and v2)
-// and the streaming ArchiveReader.
+// Round-trip and corruption tests for the BGA archive format and the
+// streaming ArchiveReader, which decodes files and in-memory images alike.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -84,28 +84,9 @@ TEST(Archive, RoundTrip) {
   const Dataset ds = make_dataset();
   const auto image = write_archive(ds);
   ASSERT_GE(image.size(), 4u);
-  EXPECT_EQ(image[3], '2');  // v2 is the default wire format
+  EXPECT_EQ(image[3], '2');  // "BGA2", the one wire format
   const Dataset back = read_archive(image);
   expect_equal(ds, back);
-}
-
-TEST(Archive, V1RoundTripByteIdentical) {
-  // Archives written before the v2 format existed must keep decoding, and
-  // re-encoding as v1 must reproduce them bit for bit.
-  const Dataset ds = make_dataset();
-  const auto v1 = write_archive(ds, ArchiveVersion::kV1);
-  ASSERT_GE(v1.size(), 4u);
-  EXPECT_EQ(v1[3], '1');
-  const Dataset back = read_archive(v1);
-  expect_equal(ds, back);
-  EXPECT_EQ(write_archive(back, ArchiveVersion::kV1), v1);
-}
-
-TEST(Archive, V1AndV2DecodeIdentically) {
-  const Dataset ds = make_dataset();
-  const Dataset from_v1 = read_archive(write_archive(ds, ArchiveVersion::kV1));
-  const Dataset from_v2 = read_archive(write_archive(ds, ArchiveVersion::kV2));
-  expect_equal(from_v1, from_v2);
 }
 
 TEST(Archive, RoundTripEmptyDataset) {
@@ -119,51 +100,63 @@ TEST(Archive, RoundTripEmptyDataset) {
 }
 
 TEST(Archive, DetectsBitFlip) {
-  for (ArchiveVersion v : {ArchiveVersion::kV1, ArchiveVersion::kV2}) {
-    auto image = write_archive(make_dataset(), v);
-    for (std::size_t pos : {std::size_t{4}, std::size_t{5}, image.size() / 2,
-                            image.size() - 1}) {
-      auto corrupted = image;
-      corrupted[pos] ^= 0x40;
-      EXPECT_THROW(read_archive(corrupted), ArchiveError)
-          << "v" << static_cast<int>(v) << " pos " << pos;
-    }
+  const auto image = write_archive(make_dataset());
+  for (std::size_t pos : {std::size_t{4}, std::size_t{5}, image.size() / 2,
+                          image.size() - 1}) {
+    auto corrupted = image;
+    corrupted[pos] ^= 0x40;
+    EXPECT_THROW(read_archive(corrupted), ArchiveError) << "pos " << pos;
   }
 }
 
 TEST(Archive, DetectsTruncation) {
-  for (ArchiveVersion v : {ArchiveVersion::kV1, ArchiveVersion::kV2}) {
-    const auto image = write_archive(make_dataset(), v);
-    EXPECT_THROW(read_archive(std::span<const std::uint8_t>(
-                     image.data(), image.size() - 1)),
-                 ArchiveError);
-    EXPECT_THROW(read_archive(std::span<const std::uint8_t>(image.data(), 4)),
-                 ArchiveError);
-  }
+  const auto image = write_archive(make_dataset());
+  EXPECT_THROW(read_archive(std::span<const std::uint8_t>(image.data(),
+                                                          image.size() - 1)),
+               ArchiveError);
+  EXPECT_THROW(read_archive(std::span<const std::uint8_t>(image.data(), 4)),
+               ArchiveError);
+  EXPECT_THROW(read_archive(std::span<const std::uint8_t>()), ArchiveError);
 }
 
 TEST(Archive, DetectsBadMagic) {
   auto image = write_archive(make_dataset());
   image[0] = 'X';
   EXPECT_THROW(read_archive(image), ArchiveError);
+  // The retired first format's magic is no longer accepted either.
+  image[0] = 'B';
+  image[3] = '1';
+  EXPECT_THROW(read_archive(image), ArchiveError);
 }
 
 TEST(Archive, DetectsTrailingBytes) {
-  auto image = write_archive(make_dataset(), ArchiveVersion::kV1);
-  // Valid CRC over body, then append 4 bytes of a bogus second CRC: strip
-  // the real CRC, add a byte, recompute — reader must reject trailing data.
-  std::vector<std::uint8_t> body(image.begin(), image.end() - 4);
-  body.push_back(0);
-  const std::uint32_t crc =
-      crc32(std::span<const std::uint8_t>(body.data(), body.size()));
-  for (int i = 0; i < 4; ++i) {
-    body.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
-  }
-  EXPECT_THROW(read_archive(body), ArchiveError);
+  // A CRC-valid section whose payload runs past its content must be
+  // rejected, not skipped. Re-frame the collectors section (the first one,
+  // right after the 9-byte header) with `extra` bytes appended.
+  const auto image = write_archive(make_dataset());
+  const auto reframe = [&image](std::vector<std::uint8_t> extra) {
+    ByteReader frame(std::span<const std::uint8_t>(image).subspan(9));
+    EXPECT_EQ(frame.u8(), 1);  // collectors
+    const std::size_t len = static_cast<std::size_t>(frame.u64());
+    std::vector<std::uint8_t> payload(image.begin() + 18,
+                                      image.begin() + 18 + len);
+    payload.insert(payload.end(), extra.begin(), extra.end());
+    ByteWriter w;
+    w.bytes(image.data(), 9);
+    w.u8(1);
+    w.u64(payload.size());
+    w.bytes(payload.data(), payload.size());
+    w.u32(crc32(payload));
+    const std::size_t rest = 18 + len + 4;
+    w.bytes(image.data() + rest, image.size() - rest);
+    return w.take();
+  };
+  expect_equal(make_dataset(), read_archive(reframe({})));
+  EXPECT_THROW(read_archive(reframe({0})), ArchiveError);
 }
 
 TEST(Archive, DetectsTrailingBytesAfterV2EndSection) {
-  auto image = write_archive(make_dataset(), ArchiveVersion::kV2);
+  auto image = write_archive(make_dataset());
   image.push_back(0);
   EXPECT_THROW(read_archive(image), ArchiveError);
 }
@@ -234,7 +227,6 @@ TEST(ArchiveReader, StreamsSnapshotsThenUpdates) {
   write_archive_file(ds, file.path());
 
   ArchiveReader reader(file.path());
-  EXPECT_EQ(reader.version(), ArchiveVersion::kV2);
   EXPECT_EQ(reader.collectors(), ds.collectors);
   EXPECT_EQ(reader.prefixes().size(), ds.prefixes.size());
 
@@ -257,13 +249,15 @@ TEST(ArchiveReader, StreamsSnapshotsThenUpdates) {
 
 TEST(ArchiveReader, ReadAllMatchesDataset) {
   const Dataset ds = make_two_snapshot_dataset();
-  for (ArchiveVersion v : {ArchiveVersion::kV1, ArchiveVersion::kV2}) {
-    const TempFile file("bga_reader_all.bga");
-    write_archive_file(ds, file.path(), v);
-    ArchiveReader reader(file.path());
-    EXPECT_EQ(reader.version(), v);
-    expect_equal(ds, reader.read_all());
-  }
+  const TempFile file("bga_reader_all.bga");
+  write_archive_file(ds, file.path());
+  expect_equal(ds, ArchiveReader(file.path()).read_all());
+  // An in-memory image takes the same section-at-a-time path.
+  const auto image = write_archive(ds);
+  ArchiveReader from_image(image);
+  EXPECT_EQ(from_image.file_bytes(), image.size());
+  expect_equal(ds, from_image.read_all());
+  EXPECT_LT(from_image.peak_buffer_bytes(), image.size());
 }
 
 TEST(ArchiveReader, UpdatesBeforeSnapshotsDrainedThrows) {
@@ -272,25 +266,6 @@ TEST(ArchiveReader, UpdatesBeforeSnapshotsDrainedThrows) {
   write_archive_file(ds, file.path());
   ArchiveReader reader(file.path());
   EXPECT_THROW(reader.next_updates(), ArchiveError);
-}
-
-TEST(ArchiveReader, V1FileStreamsIdentically) {
-  const Dataset ds = make_two_snapshot_dataset();
-  const TempFile file("bga_reader_v1.bga");
-  write_archive_file(ds, file.path(), ArchiveVersion::kV1);
-  ArchiveReader reader(file.path());
-  EXPECT_EQ(reader.version(), ArchiveVersion::kV1);
-  std::size_t nsnap = 0;
-  while (auto snap = reader.next_snapshot()) {
-    EXPECT_EQ(snap->peers.size(), ds.snapshots[nsnap].peers.size());
-    ++nsnap;
-  }
-  EXPECT_EQ(nsnap, ds.snapshots.size());
-  std::vector<UpdateRecord> updates;
-  while (auto chunk = reader.next_updates()) {
-    updates.insert(updates.end(), chunk->begin(), chunk->end());
-  }
-  EXPECT_EQ(updates, ds.updates);
 }
 
 TEST(ArchiveReader, LargeUpdateStreamSplitsIntoChunks) {

@@ -1,11 +1,12 @@
-// Tests for the BGPStream-like record reader, in-memory and streaming.
+// Tests for the BGPStream-like record reader, over an in-memory
+// DatasetView and over an ArchiveView streaming a BGA file.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
 #include "bgp/archive.h"
+#include "bgp/archive_view.h"
 #include "routing/simulator.h"
-#include "stream/file_reader.h"
 #include "stream/reader.h"
 
 namespace bgpatoms::stream {
@@ -13,6 +14,7 @@ namespace {
 
 struct Fixture {
   bgp::Dataset ds;
+  bgp::DatasetView view{ds};
 
   Fixture() {
     ds.family = net::Family::kIPv4;
@@ -59,7 +61,7 @@ std::vector<Record> drain(RecordReader& reader) {
 
 TEST(RecordReader, YieldsRibThenUpdates) {
   Fixture f;
-  RecordReader reader(f.ds);
+  RecordReader reader(f.view, f.view);
   const auto recs = drain(reader);
   ASSERT_EQ(recs.size(), 6u);  // 3 RIB rows + 2 announced + 1 withdrawn
   EXPECT_EQ(recs[0].type, RecordType::kRibEntry);
@@ -70,7 +72,7 @@ TEST(RecordReader, YieldsRibThenUpdates) {
 
 TEST(RecordReader, RibRecordContent) {
   Fixture f;
-  RecordReader reader(f.ds);
+  RecordReader reader(f.view, f.view);
   const auto rec = reader.next();
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->collector, "rrc00");
@@ -85,7 +87,7 @@ TEST(RecordReader, WithdrawalHasNoPath) {
   Fixture f;
   Filters filters;
   filters.include_rib = false;
-  RecordReader reader(f.ds, filters);
+  RecordReader reader(f.view, f.view, filters);
   const auto recs = drain(reader);
   ASSERT_EQ(recs.size(), 3u);
   EXPECT_EQ(recs[2].type, RecordType::kWithdrawal);
@@ -96,7 +98,7 @@ TEST(RecordReader, CollectorFilter) {
   Fixture f;
   Filters filters;
   filters.collector = "rrc00";
-  RecordReader reader(f.ds, filters);
+  RecordReader reader(f.view, f.view, filters);
   for (const auto& rec : drain(reader)) {
     EXPECT_EQ(rec.collector, "rrc00");
   }
@@ -106,7 +108,7 @@ TEST(RecordReader, PeerFilter) {
   Fixture f;
   Filters filters;
   filters.peer_asn = 64497;
-  RecordReader reader(f.ds, filters);
+  RecordReader reader(f.view, f.view, filters);
   const auto recs = drain(reader);
   ASSERT_EQ(recs.size(), 2u);  // 1 RIB row + update u2
   for (const auto& rec : recs) EXPECT_EQ(rec.peer_asn, 64497u);
@@ -116,7 +118,7 @@ TEST(RecordReader, PrefixWithinFilter) {
   Fixture f;
   Filters filters;
   filters.prefix_within = *net::Prefix::parse("8.8.0.0/16");
-  RecordReader reader(f.ds, filters);
+  RecordReader reader(f.view, f.view, filters);
   const auto recs = drain(reader);
   ASSERT_EQ(recs.size(), 4u);  // two RIB rows + two announcements
   for (const auto& rec : recs) {
@@ -128,7 +130,7 @@ TEST(RecordReader, TimeWindowFilter) {
   Fixture f;
   Filters filters;
   filters.time_begin = 1150;
-  RecordReader reader(f.ds, filters);
+  RecordReader reader(f.view, f.view, filters);
   const auto recs = drain(reader);
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].timestamp, 1200);
@@ -138,15 +140,48 @@ TEST(RecordReader, UpdatesOnlyToggle) {
   Fixture f;
   Filters filters;
   filters.include_updates = false;
-  RecordReader reader(f.ds, filters);
+  RecordReader reader(f.view, f.view, filters);
   for (const auto& rec : drain(reader)) {
     EXPECT_EQ(rec.type, RecordType::kRibEntry);
   }
 }
 
+TEST(RecordReader, TimeWindowIsInclusive) {
+  // A record stamped exactly time_begin or time_end passes; one second
+  // past time_end does not.
+  Fixture f;
+  Filters filters;
+  filters.time_begin = 1100;
+  filters.time_end = 1200;
+  {
+    RecordReader reader(f.view, f.view, filters);
+    const auto recs = drain(reader);
+    ASSERT_EQ(recs.size(), 3u);  // u1's two announcements, u2's withdrawal
+    EXPECT_EQ(recs[0].timestamp, 1100);
+    EXPECT_EQ(recs[1].timestamp, 1100);
+    EXPECT_EQ(recs[2].timestamp, 1200);
+  }
+  {
+    filters.time_end = 1199;
+    f.view.rewind();
+    RecordReader reader(f.view, f.view, filters);
+    const auto recs = drain(reader);
+    ASSERT_EQ(recs.size(), 2u);
+    for (const auto& rec : recs) EXPECT_EQ(rec.timestamp, 1100);
+  }
+  // RIB rows carry the snapshot's timestamp, same edges.
+  filters.time_begin = filters.time_end = 1000;
+  f.view.rewind();
+  RecordReader reader(f.view, f.view, filters);
+  const auto recs = drain(reader);
+  ASSERT_EQ(recs.size(), 3u);
+  for (const auto& rec : recs) EXPECT_EQ(rec.type, RecordType::kRibEntry);
+}
+
 TEST(RecordReader, EmptyDataset) {
   bgp::Dataset ds;
-  RecordReader reader(ds);
+  bgp::DatasetView view(ds);
+  RecordReader reader(view, view);
   EXPECT_FALSE(reader.next().has_value());
 }
 
@@ -155,7 +190,8 @@ TEST(RecordReader, WorksOverSimulatedDataset) {
       topo::generate_topology(topo::era_params_v4(2008.0, 0.01), 4));
   sim.capture();
   sim.emit_updates(routing::kHour);
-  RecordReader reader(sim.dataset());
+  bgp::DatasetView view(sim.dataset());
+  RecordReader reader(view, view);
   std::size_t rib = 0, ann = 0, wd = 0;
   while (auto rec = reader.next()) {
     switch (rec->type) {
@@ -180,13 +216,7 @@ TEST(RecordReader, WorksOverSimulatedDataset) {
   EXPECT_EQ(wd, expected_wd);
 }
 
-// --- FileRecordReader: streaming must match the in-memory reader ------------
-
-std::vector<Record> drain_file(FileRecordReader& reader) {
-  std::vector<Record> out;
-  while (auto rec = reader.next()) out.push_back(*rec);
-  return out;
-}
+// --- ArchiveView: streaming must match the in-memory view -------------------
 
 /// Same record stream, field by field. Record has views/pointers, so
 /// compare the resolved values.
@@ -215,12 +245,9 @@ void expect_same_records(const std::vector<Record>& mem,
 
 class StreamTempFile {
  public:
-  StreamTempFile(const bgp::Dataset& ds, bgp::ArchiveVersion v)
-      : path_((std::filesystem::temp_directory_path() /
-               (v == bgp::ArchiveVersion::kV1 ? "stream_v1.bga"
-                                              : "stream_v2.bga"))
-                  .string()) {
-    bgp::write_archive_file(ds, path_, v);
+  StreamTempFile(const bgp::Dataset& ds, const char* name)
+      : path_((std::filesystem::temp_directory_path() / name).string()) {
+    bgp::write_archive_file(ds, path_);
   }
   ~StreamTempFile() { std::filesystem::remove(path_); }
   const std::string& path() const { return path_; }
@@ -229,21 +256,20 @@ class StreamTempFile {
   std::string path_;
 };
 
-TEST(FileRecordReader, MatchesInMemoryReaderBothVersions) {
+TEST(RecordReader, ArchiveViewMatchesDatasetView) {
   Fixture f;
-  RecordReader mem_reader(f.ds);
-  const auto mem = drain(mem_reader);
-  for (auto v : {bgp::ArchiveVersion::kV1, bgp::ArchiveVersion::kV2}) {
-    const StreamTempFile file(f.ds, v);
-    FileRecordReader reader(file.path());
-    expect_same_records(mem, drain_file(reader));
-    EXPECT_EQ(reader.count(), mem_reader.count());
-  }
+  RecordReader mem_reader(f.view, f.view);
+  const auto want = drain(mem_reader);
+  const StreamTempFile file(f.ds, "stream_unfiltered.bga");
+  bgp::ArchiveView streamed(file.path());
+  RecordReader reader(streamed, streamed);
+  expect_same_records(want, drain(reader));
+  EXPECT_EQ(reader.count(), mem_reader.count());
 }
 
-TEST(FileRecordReader, FiltersMatchInMemoryReader) {
+TEST(RecordReader, ArchiveViewFiltersMatchDatasetView) {
   Fixture f;
-  const StreamTempFile file(f.ds, bgp::ArchiveVersion::kV2);
+  const StreamTempFile file(f.ds, "stream_filters.bga");
 
   std::vector<Filters> cases;
   cases.push_back({});
@@ -257,35 +283,44 @@ TEST(FileRecordReader, FiltersMatchInMemoryReader) {
   cases.back().time_begin = 1100;
   cases.back().time_end = 1150;
   cases.emplace_back();
+  cases.back().time_begin = 1100;
+  cases.back().time_end = 1200;
+  cases.emplace_back();
+  cases.back().time_end = 1199;
+  cases.emplace_back();
   cases.back().include_rib = false;
   cases.emplace_back();
   cases.back().include_updates = false;
 
   for (const auto& filters : cases) {
-    RecordReader mem_reader(f.ds, filters);
-    FileRecordReader file_reader(file.path(), filters);
-    expect_same_records(drain(mem_reader), drain_file(file_reader));
+    bgp::DatasetView mem(f.ds);
+    RecordReader mem_reader(mem, mem, filters);
+    const auto want = drain(mem_reader);
+    // Records point into the view's dictionaries: keep it alive while
+    // they are compared.
+    bgp::ArchiveView streamed(file.path());
+    RecordReader streamed_reader(streamed, streamed, filters);
+    expect_same_records(want, drain(streamed_reader));
+    EXPECT_EQ(streamed_reader.count(), mem_reader.count());
   }
 }
 
-TEST(FileRecordReader, WorksOverSimulatedDataset) {
+TEST(RecordReader, ArchiveViewWorksOverSimulatedDataset) {
   routing::Simulator sim(
       topo::generate_topology(topo::era_params_v4(2005.0, 0.02), 7));
   sim.capture();
   sim.emit_updates(routing::kHour);
   const auto& ds = sim.dataset();
 
-  RecordReader mem_reader(ds);
-  const auto mem = drain(mem_reader);
-  const StreamTempFile file(ds, bgp::ArchiveVersion::kV2);
-  FileRecordReader reader(file.path());
-  expect_same_records(mem, drain_file(reader));
-  EXPECT_LT(reader.archive().peak_buffer_bytes(),
-            reader.archive().file_bytes());
-}
-
-TEST(FileRecordReader, MissingFileThrows) {
-  EXPECT_THROW(FileRecordReader("/nonexistent/not.bga"), bgp::ArchiveError);
+  bgp::DatasetView mem(ds);
+  RecordReader mem_reader(mem, mem);
+  const auto want = drain(mem_reader);
+  const StreamTempFile file(ds, "stream_simulated.bga");
+  bgp::ArchiveView streamed(file.path());
+  RecordReader reader(streamed, streamed);
+  expect_same_records(want, drain(reader));
+  EXPECT_LT(streamed.archive().peak_buffer_bytes(),
+            streamed.archive().file_bytes());
 }
 
 }  // namespace

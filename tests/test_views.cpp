@@ -1,9 +1,9 @@
 // Backend equivalence for the streaming analysis views (bgp/views.h,
 // bgp/archive_view.h): the same campaign analyzed through an in-memory
-// DatasetView and through an ArchiveView streaming a v1 or v2 BGA file
-// must produce bit-identical atoms, stats, stability and update
-// correlation — the contract that lets every CLI tool stream archives
-// without a correctness tax. Also pins the ArchiveView residency bound:
+// DatasetView and through an ArchiveView streaming a BGA file must
+// produce bit-identical atoms, stats, stability and update correlation —
+// the contract that lets every CLI tool stream archives without a
+// correctness tax. Also pins the ArchiveView residency bound:
 // one snapshot section plus one 64K update chunk, independent of how many
 // snapshots the archive holds.
 #include <gtest/gtest.h>
@@ -137,16 +137,12 @@ TEST(ViewEquivalence, ArchiveBackendsMatchInMemoryBitForBit) {
   ASSERT_EQ(want.stability.size(), 3u);
   ASSERT_TRUE(want.correlation.has_value());
 
-  for (const auto version : {bgp::ArchiveVersion::kV1,
-                             bgp::ArchiveVersion::kV2}) {
-    TempFile file(version == bgp::ArchiveVersion::kV1 ? "views_eq_v1.bga"
-                                                      : "views_eq_v2.bga");
-    bgp::write_archive_file(ds, file.path(), version);
+  TempFile file("views_eq.bga");
+  bgp::write_archive_file(ds, file.path());
 
-    bgp::ArchiveView streamed(file.path());
-    const AnalysisResult got = analyze(streamed, &streamed, config);
-    expect_analysis_eq(want, got);
-  }
+  bgp::ArchiveView streamed(file.path());
+  const AnalysisResult got = analyze(streamed, &streamed, config);
+  expect_analysis_eq(want, got);
 }
 
 TEST(ViewEquivalence, QuarterMetricsMatchTheCampaignOverload) {
