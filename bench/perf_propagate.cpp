@@ -1,5 +1,5 @@
 // Microbenchmarks for the pluggable-policy Propagator: single-origin
-// (the legacy fast path every scenario-free campaign runs), multi-origin
+// (the one-source run every scenario-free unit group makes), multi-origin
 // MOAS selection, ROV-filtered propagation and the route-leak second
 // pass, all over one generated 2024 topology.
 #include <benchmark/benchmark.h>

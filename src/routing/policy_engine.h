@@ -1,8 +1,8 @@
 // Pluggable per-AS routing policy.
 //
-// The Propagator's Dijkstra relaxation consults a PolicyEngine for every
-// edge decision, splitting the classic hardwired Gao-Rexford behaviour
-// into three composable hooks:
+// The Propagator's level-by-level drain consults a PolicyEngine for every
+// edge it relaxes, splitting the classic hardwired Gao-Rexford behaviour
+// into composable hooks:
 //
 //   * allow_export — may AS `from` export this source's route over an
 //     edge (valley-free export rule + per-unit policy knobs: restricted
@@ -66,8 +66,8 @@ class PolicyEngine {
 
 /// The standard model: Gao-Rexford export with the per-unit policy knobs,
 /// optional ROV dropping at validating ASes, optionally one leaking
-/// transit. With `rov == nullptr` and no leaker this reproduces the
-/// pre-engine Propagator behaviour bit-for-bit.
+/// transit. A source that is not `rov_invalid` passes the import filter
+/// everywhere, so with no leaker its routes are plain Gao-Rexford.
 class GaoRexfordEngine final : public PolicyEngine {
  public:
   explicit GaoRexfordEngine(const topo::AsGraph& graph,

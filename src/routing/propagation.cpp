@@ -1,9 +1,16 @@
 #include "routing/propagation.h"
 
+#include <algorithm>
 #include <cassert>
-#include <queue>
 
 namespace bgpatoms::routing {
+
+namespace {
+
+/// RouteTable::best_ value of a node without a candidate in the level.
+constexpr std::uint32_t kNoCandidate = UINT32_MAX;
+
+}  // namespace
 
 using topo::AsGraph;
 using topo::kNoNode;
@@ -69,6 +76,7 @@ void Propagator::compute_pass(std::span<const RouteSource> sources,
   t.parent.assign(n, kNoNode);
   t.edge_prepend.assign(n, 0);
   t.source.assign(n, kNoSource);
+  t.best_.assign(n, kNoCandidate);
 
   for (std::uint16_t i = 0; i < sources.size(); ++i) {
     const NodeId origin = sources[i].origin;
@@ -86,11 +94,11 @@ void Propagator::compute_pass(std::span<const RouteSource> sources,
     t.source[e.node] = e.source;
   }
 
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                      std::greater<QueueEntry>>
-      pq;
+  using Candidate = RouteTable::Candidate;
+  auto& buckets = t.buckets_;
+  std::uint32_t top = 0;  // highest level holding candidates this phase
 
-  // Pushes a candidate route at `to` learned from `from`. `leak_edge`
+  // Offers `to` a candidate route learned from `from`. `leak_edge`
   // bypasses the export rule (valley-violating re-export); the import
   // filter still applies.
   auto relax = [&](NodeId from, const Neighbor& to, bool leak_edge = false) {
@@ -106,26 +114,49 @@ void Propagator::compute_pass(std::span<const RouteSource> sources,
     }
     if (!engine.allow_import(src, to.node)) return;
     const std::uint32_t d = t.dist[from] + 1 + prepend;
-    pq.push(QueueEntry{d, engine.selection_rank(src, si),
-                       graph_.node(from).asn, to.node, from, prepend, si});
+    if (d >= buckets.size()) buckets.resize(d + 1);
+    const std::uint64_t key =
+        (std::uint64_t{engine.selection_rank(src, si)} << 32) |
+        graph_.node(from).asn;
+    buckets[d].push_back(Candidate{key, to.node, from, prepend, si});
+    top = std::max(top, d);
   };
 
-  // Runs one Dijkstra phase: nodes popped get `assign_cls`; the popped
-  // node's outgoing edges are relaxed when `edge_ok(rel)` holds.
+  // Drains one phase level by level: each node offered a route at level
+  // d takes its lowest-key candidate and `assign_cls`; once the whole
+  // level is final, its nodes' edges are relaxed (where `edge_ok(rel)`
+  // holds) into the levels above.
   auto drain = [&](RouteClass assign_cls, auto edge_ok) {
-    while (!pq.empty()) {
-      const QueueEntry e = pq.top();
-      pq.pop();
-      if (t.cls[e.node] != RouteClass::kNone) continue;  // lazy deletion
-      t.cls[e.node] = assign_cls;
-      t.dist[e.node] = e.dist;
-      t.parent[e.node] = e.parent;
-      t.edge_prepend[e.node] = e.prepend;
-      t.source[e.node] = e.source;
-      for (const auto& nb : graph_.node(e.node).neighbors) {
-        if (edge_ok(nb.rel)) relax(e.node, nb);
+    for (std::uint32_t d = 1; d <= top; ++d) {
+      std::vector<Candidate> level = std::move(buckets[d]);
+      for (std::uint32_t i = 0; i < level.size(); ++i) {
+        const Candidate& c = level[i];
+        if (t.cls[c.node] != RouteClass::kNone) continue;  // final below d
+        std::uint32_t& best = t.best_[c.node];
+        if (best == kNoCandidate || c.key < level[best].key) best = i;
       }
+      std::size_t won = 0;
+      for (std::uint32_t i = 0; i < level.size(); ++i) {
+        const Candidate c = level[i];
+        if (t.best_[c.node] != i) continue;
+        t.best_[c.node] = kNoCandidate;
+        t.cls[c.node] = assign_cls;
+        t.dist[c.node] = d;
+        t.parent[c.node] = c.parent;
+        t.edge_prepend[c.node] = c.prepend;
+        t.source[c.node] = c.source;
+        level[won++] = c;
+      }
+      level.resize(won);
+      for (const Candidate& c : level) {
+        for (const auto& nb : graph_.node(c.node).neighbors) {
+          if (edge_ok(nb.rel)) relax(c.node, nb);
+        }
+      }
+      level.clear();
+      buckets[d] = std::move(level);  // keeps the capacity for reuse
     }
+    top = 0;
   };
 
   // --- phase 1: customer routes climb provider (and sibling) edges -----

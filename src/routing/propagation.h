@@ -13,12 +13,18 @@
 //
 // The computation runs in three phases (customer routes climbing provider
 // edges, a single peer-edge step, provider routes descending customer
-// edges), each a Dijkstra over prepend-weighted hop counts. Every edge
-// decision — export rule, import filter, extra selection key — is
-// delegated to a PolicyEngine (policy_engine.h), so restricted
-// announcement, NO_EXPORT, transit rules, prepending and ROV dropping are
-// applied during relaxation and a policy change produces exactly the path
-// changes real BGP would converge to.
+// edges). Each phase drains candidate routes level by level, one level
+// per prepend-weighted hop count: every node offered a route at level d
+// keeps the candidate with the lowest (selection_rank, next-hop ASN), the
+// whole level is finalized, and only then are its edges relaxed into the
+// levels above. This is exact: a hop adds 1 + prepend >= 1, so all of a
+// node's level-d candidates come from nodes finalized below d, and the
+// winner is the one a Dijkstra ordered by (distance, rank, next-hop ASN)
+// would finalize first. Every edge decision — export rule, import filter,
+// extra selection key — is delegated to a PolicyEngine (policy_engine.h),
+// so restricted announcement, NO_EXPORT, transit rules, prepending and
+// ROV dropping are applied during relaxation and a policy change produces
+// exactly the path changes real BGP would converge to.
 //
 // Route leaks: when the engine marks a reachable transit as leaking, a
 // second pass re-runs propagation with the leaker's learned route
@@ -63,6 +69,25 @@ struct RouteTable {
   bool reachable(topo::NodeId v) const {
     return cls[v] != RouteClass::kNone;
   }
+
+ private:
+  friend class Propagator;
+
+  /// A route offered to `node` by its finalized neighbor `parent`.
+  struct Candidate {
+    std::uint64_t key;  // selection_rank << 32 | parent ASN; lower wins
+    topo::NodeId node;
+    topo::NodeId parent;
+    std::uint8_t prepend;
+    std::uint16_t source;
+  };
+
+  // Propagation scratch, kept with the table so repeated computations
+  // reuse its storage: the candidates of each level, indexed by
+  // prepend-weighted distance (all empty between phases), and per node
+  // the index of its best candidate in the level being drained.
+  std::vector<std::vector<Candidate>> buckets_;
+  std::vector<std::uint32_t> best_;
 };
 
 class Propagator {
@@ -71,14 +96,14 @@ class Propagator {
 
   /// Computes routes toward `sources` (each an origin announcing the unit)
   /// with every edge decision delegated to `engine`. Reuses `out`'s
-  /// storage. Const and state-free: concurrent calls are safe with
-  /// distinct `out` tables.
+  /// storage, scratch included. Const and state-free: concurrent calls
+  /// are safe with distinct `out` tables.
   void compute(std::span<const RouteSource> sources,
                const PolicyEngine& engine, RouteTable& out) const;
 
-  /// Single-origin convenience (nullptr = default announce-everywhere
-  /// policy) through the default GaoRexfordEngine; identical output to
-  /// the pre-engine Propagator.
+  /// One-line form for tests and micro-benchmarks: `origin` as the only
+  /// source (nullptr = default announce-everywhere policy) through the
+  /// default GaoRexfordEngine.
   void compute(topo::NodeId origin, const UnitPolicy* policy,
                RouteTable& out) const;
 
@@ -95,23 +120,6 @@ class Propagator {
   const topo::AsGraph& graph() const { return graph_; }
 
  private:
-  struct QueueEntry {
-    std::uint32_t dist;
-    std::uint32_t rank;   // engine selection_rank (0 for the default)
-    net::Asn parent_asn;  // deterministic tie-break
-    topo::NodeId node;
-    topo::NodeId parent;
-    std::uint8_t prepend;
-    std::uint16_t source;
-
-    friend bool operator>(const QueueEntry& a, const QueueEntry& b) {
-      if (a.dist != b.dist) return a.dist > b.dist;
-      if (a.rank != b.rank) return a.rank > b.rank;
-      if (a.parent_asn != b.parent_asn) return a.parent_asn > b.parent_asn;
-      return a.node > b.node;
-    }
-  };
-
   /// One leaked-route entry pinned from the first pass.
   struct PinnedEntry {
     topo::NodeId node;

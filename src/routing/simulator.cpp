@@ -7,6 +7,7 @@
 
 #include "bgp/nlri.h"
 #include "net/hash.h"
+#include "obs/obs.h"
 
 namespace bgpatoms::routing {
 
@@ -346,6 +347,7 @@ void Simulator::merge_unit(UnitId u) {
 // ---------------------------------------------------------------------------
 
 void Simulator::refresh_unit_paths() {
+  OBS_SPAN("routing.refresh");
   // Group dirty units by origin, then by policy, so units sharing a policy
   // share one propagation run.
   std::vector<UnitId> dirty;
@@ -361,6 +363,7 @@ void Simulator::refresh_unit_paths() {
   std::sort(dirty.begin(), dirty.end(), [&](UnitId a, UnitId b) {
     return policies_.units[a].origin < policies_.units[b].origin;
   });
+  std::size_t propagations = 0;
   std::size_t i = 0;
   while (i < dirty.size()) {
     const NodeId origin = policies_.units[dirty[i]].origin;
@@ -382,9 +385,11 @@ void Simulator::refresh_unit_paths() {
         }
       }
       compute_unit_group(origin, group);
+      ++propagations;
     }
     i = j;
   }
+  OBS_COUNT_N("routing.propagations", propagations);
 }
 
 void Simulator::compute_unit_group(NodeId origin,
@@ -393,27 +398,23 @@ void Simulator::compute_unit_group(NodeId origin,
   const UnitId rep = group[0];
   const UnitPolicy& pol = policies_.units[rep].policy;
   const UnitPolicy* pp = pol == kDefaultPolicy ? nullptr : &pol;
-  if (scenario_unit_key(rep) == 0) {
-    // No scenario state in play for this unit: the legacy single-origin
-    // path, byte-identical to the pre-scenario simulator.
-    propagator_.compute(origin, pp, scratch_table_);
-  } else {
-    std::vector<RouteSource> sources;
-    sources.push_back(
-        {origin, pp, rov_active_ && unit_rov_invalid_[rep] != 0});
-    if (const auto hij = hijack_origin_.find(rep);
-        hij != hijack_origin_.end()) {
-      // The hijacker originates the same destination with a default
-      // policy; invalid wherever the victim's prefixes hold ROAs.
-      sources.push_back({hij->second, nullptr,
-                         rov_active_ && unit_roa_covered_[rep] != 0});
-    }
-    const auto lk = unit_leaker_.find(rep);
-    const NodeId leaker = lk == unit_leaker_.end() ? kNoNode : lk->second;
-    const GaoRexfordEngine engine(topo_.graph, rov_active_ ? &rov_ : nullptr,
-                                  leaker);
-    propagator_.compute(sources, engine, scratch_table_);
+  // Scenario state enters as the origin's ROV validity, a hijacker's
+  // second source and a leaker; under scenario key 0 all three are off.
+  RouteSource sources[2] = {
+      {origin, pp, rov_active_ && unit_rov_invalid_[rep] != 0}};
+  std::size_t n_sources = 1;
+  if (const auto hij = hijack_origin_.find(rep); hij != hijack_origin_.end()) {
+    // The hijacker originates the same destination with a default
+    // policy; invalid wherever the victim's prefixes hold ROAs.
+    sources[n_sources++] = {hij->second, nullptr,
+                            rov_active_ && unit_roa_covered_[rep] != 0};
   }
+  const auto lk = unit_leaker_.find(rep);
+  const NodeId leaker = lk == unit_leaker_.end() ? kNoNode : lk->second;
+  const GaoRexfordEngine engine(topo_.graph, rov_active_ ? &rov_ : nullptr,
+                                leaker);
+  propagator_.compute(std::span<const RouteSource>(sources, n_sources),
+                      engine, scratch_table_);
 
   std::vector<VpPath> paths;
   const auto& vps = topo_.vantage_points;
@@ -457,6 +458,7 @@ std::uint32_t Simulator::path_selection_length(bgp::PathId id) {
 }
 
 std::size_t Simulator::capture() {
+  OBS_SPAN("routing.capture");
   refresh_unit_paths();
 
   bgp::Snapshot snap;
@@ -609,6 +611,7 @@ std::vector<OriginUnit> Simulator::policy_clusters() const {
 }
 
 void Simulator::emit_updates(bgp::Timestamp duration) {
+  OBS_SPAN("routing.emit_updates");
   refresh_unit_paths();
   const auto& p = topo_.params;
   const double window_scale = static_cast<double>(duration) / (4 * kHour);

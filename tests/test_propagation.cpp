@@ -1,10 +1,20 @@
-// Gao-Rexford propagation-engine tests on hand-built graphs.
+// Gao-Rexford propagation-engine tests on hand-built graphs, plus a
+// differential test of the level-by-level drain against the heap-based
+// reference (propagation_reference.h) on generated topologies.
 //
 // Node/ASN convention below: add_node(asn, ...) and we keep asn == 10*(id+1)
 // so paths are easy to read in failure output.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "net/rng.h"
+#include "propagation_reference.h"
+#include "routing/policy.h"
 #include "routing/propagation.h"
+#include "routing/rov.h"
+#include "topo/era.h"
+#include "topo/topology.h"
 
 namespace bgpatoms::routing {
 namespace {
@@ -340,6 +350,118 @@ TEST(Propagation, DistMatchesExtractedPathLength) {
   for (NodeId n : {p, t, v}) {
     EXPECT_EQ(table.dist[n], prop.extract_path(table, n).flat().size()) << n;
   }
+}
+
+// --- differential oracle ---------------------------------------------------
+
+/// Number of nodes whose entry differs between `got` and `want` in any
+/// field; the first one is described in `first`.
+std::size_t table_mismatches(const RouteTable& got, const RouteTable& want,
+                             std::string& first) {
+  if (got.dist.size() != want.dist.size()) {
+    first = "table sizes differ";
+    return want.dist.size() + 1;
+  }
+  std::size_t bad = 0;
+  for (NodeId v = 0; v < want.dist.size(); ++v) {
+    if (got.dist[v] == want.dist[v] && got.cls[v] == want.cls[v] &&
+        got.parent[v] == want.parent[v] &&
+        got.edge_prepend[v] == want.edge_prepend[v] &&
+        got.source[v] == want.source[v]) {
+      continue;
+    }
+    if (bad++ == 0) {
+      first = "node " + std::to_string(v) + ": dist " +
+              std::to_string(got.dist[v]) + " vs " +
+              std::to_string(want.dist[v]) + ", parent " +
+              std::to_string(got.parent[v]) + " vs " +
+              std::to_string(want.parent[v]) + ", source " +
+              std::to_string(got.source[v]) + " vs " +
+              std::to_string(want.source[v]);
+    }
+  }
+  return bad;
+}
+
+TEST(Propagation, MatchesReferenceOnGeneratedTopologies) {
+  struct Era {
+    bool v6;
+    int year;
+    double scale;
+  };
+  // Sizes go up and down so the one reused table shrinks and grows.
+  const Era eras[] = {{false, 2024, 0.005}, {false, 2004, 0.02},
+                      {true, 2014, 0.05},   {false, 2012, 0.008},
+                      {true, 2024, 0.02}};
+  RouteTable got;  // reused across every topology and run
+  RouteTable want;
+  std::size_t runs = 0, leak_passes = 0;
+  for (const Era& era : eras) {
+    const topo::EraParams params = era.v6
+                                       ? topo::era_params_v6(era.year, era.scale)
+                                       : topo::era_params_v4(era.year, era.scale);
+    const topo::Topology topo = topo::generate_topology(params, 42);
+    const AsGraph& g = topo.graph;
+    const PolicySet policies = assign_policies(topo, 42);
+    const auto& units = policies.units;
+    ASSERT_FALSE(units.empty());
+    const Propagator prop(g);
+
+    RovState rov;
+    Rng rng(7);
+    for (NodeId n = 0; n < g.size(); ++n) {
+      if (rng.chance(0.3)) rov.set_validating(n, true);
+    }
+    std::vector<NodeId> transits;
+    for (NodeId n = 0; n < g.size(); ++n) {
+      if (g.node(n).tier == topo::Tier::kTransit) transits.push_back(n);
+    }
+    ASSERT_FALSE(transits.empty());
+
+    const std::string where = std::string(era.v6 ? "v6 " : "v4 ") +
+                              std::to_string(era.year) + " (" +
+                              std::to_string(g.size()) + " ASes), unit ";
+    auto check = [&](std::span<const RouteSource> sources,
+                     const PolicyEngine& engine, const char* what,
+                     std::size_t u) {
+      if (HasFatalFailure()) return;  // report the first mismatch only
+      test::reference_compute(g, sources, engine, want);
+      prop.compute(sources, engine, got);
+      std::string first;
+      const std::size_t bad = table_mismatches(got, want, first);
+      ++runs;
+      ASSERT_EQ(bad, 0u) << where << u << ", " << what << ": " << first;
+    };
+
+    const GaoRexfordEngine plain(g);
+    const GaoRexfordEngine with_rov(g, &rov);
+    for (std::size_t u = 0; u < units.size(); ++u) {
+      const OriginUnit& unit = units[u];
+      const RouteSource own{unit.origin, &unit.policy, false};
+      check(std::span(&own, 1), plain, "default engine", u);
+
+      // Every fourth unit also runs the multi-source, ROV and leak cases.
+      if (u % 4 != 0) continue;
+      const RouteSource moas[] = {own, {units[(u + 7) % units.size()].origin,
+                                        nullptr, false}};
+      check(moas, plain, "MOAS", u);
+
+      const RouteSource invalid{unit.origin, &unit.policy, true};
+      check(std::span(&invalid, 1), with_rov, "ROV, invalid origin", u);
+      const RouteSource hijacked[] = {own, {moas[1].origin, nullptr, true}};
+      check(hijacked, with_rov, "ROV, invalid second source", u);
+
+      const NodeId leaker = transits[(u / 4) % transits.size()];
+      const GaoRexfordEngine leaking(g, nullptr, leaker);
+      check(std::span(&own, 1), leaking, "transit leak", u);
+      leak_passes += want.cls[leaker] == RouteClass::kPeer ||
+                     want.cls[leaker] == RouteClass::kProvider;
+    }
+  }
+  if (HasFatalFailure()) return;
+  // The cases reached what they are meant to exercise.
+  EXPECT_GT(runs, 1000u);
+  EXPECT_GT(leak_passes, 10u) << "no run took the second (leak) pass";
 }
 
 }  // namespace
