@@ -1,6 +1,6 @@
 // One register_* function per experiment definition, plus the roll-up
 // that populates a Registry with all of them (in paper order). The
-// bga_bench CLI and the per-figure shim binaries both go through
+// bga_bench CLI and the perfbench repro workload go through
 // register_all_experiments(); a test can register any subset.
 #pragma once
 
@@ -40,7 +40,6 @@ void register_ablation_sanitizer(Registry& registry);
 void register_ablation_vps(Registry& registry);
 void register_extra_quality(Registry& registry);
 void register_perf_sweep(Registry& registry);
-void register_perf_atoms(Registry& registry);
 void register_perf_incremental(Registry& registry);
 void register_perf_serve(Registry& registry);
 

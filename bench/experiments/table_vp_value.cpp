@@ -9,14 +9,13 @@
 //
 // Checks: fidelity is monotone non-decreasing in budget at every scale
 // (nested-partition refinement — each added VP can only split groups).
-// At full scale two redundancy bars are gated like perf_atoms' speedup
-// bar (smoke campaigns have too few VPs for a 10% budget to mean
-// anything): the ~10% subset of the 2024 campaign must keep >= 99%
-// *pairwise* partition agreement (Rand index — atom-count fidelity has a
-// long tail of tiny splits on this substrate, ~63% at that budget, while
-// pairwise agreement is >= 99.8%), and 99% of the atom count must be
-// reached by at most 85% of the VPs (the tail of the ranking is pure
-// redundancy).
+// Two redundancy bars are gated to full scale (smoke campaigns have too
+// few VPs for a 10% budget to mean anything): the ~10% subset of the
+// 2024 campaign must keep >= 99% *pairwise* partition agreement (Rand
+// index — atom-count fidelity has a long tail of tiny splits on this
+// substrate, ~63% at that budget, while pairwise agreement is >= 99.8%),
+// and 99% of the atom count must be reached by at most 85% of the VPs
+// (the tail of the ranking is pure redundancy).
 #include <algorithm>
 #include <cstddef>
 

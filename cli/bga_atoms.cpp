@@ -52,10 +52,6 @@ constexpr char kUsage[] =
     "                       is flag > BGPATOMS_THREADS > all hardware\n"
     "                       threads (report/options.h); results are\n"
     "                       identical for any count\n"
-    "  --kernel <k>         atom kernel: 'soa' (default, structure-of-\n"
-    "                       arrays signature matrix) or 'reference' (the\n"
-    "                       historical CSR kernel); output is bit-\n"
-    "                       identical either way\n"
     "  --vp-budget <n>      greedily select at most n vantage points on\n"
     "                       the reference snapshot (core::select_vps) and\n"
     "                       compute atoms from only those columns; later\n"
@@ -75,13 +71,12 @@ struct MetricsAtExit {
   }
 };
 
-void write_csv(const std::string& path, const core::SanitizedSnapshot& snap,
+/// Writes one CSV row per atom; false if the file cannot be opened,
+/// written or closed.
+bool write_csv(const std::string& path, const core::SanitizedSnapshot& snap,
                const core::AtomSet& atoms) {
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
+  if (!f) return false;
   std::fprintf(f, "atom_id,origin_asn,size,moas,vantage_points,prefixes\n");
   for (std::size_t i = 0; i < atoms.atoms.size(); ++i) {
     const auto& atom = atoms.atoms[i];
@@ -93,7 +88,8 @@ void write_csv(const std::string& path, const core::SanitizedSnapshot& snap,
     }
     std::fprintf(f, "\"\n");
   }
-  std::fclose(f);
+  const bool written = !std::ferror(f);
+  return std::fclose(f) == 0 && written;
 }
 
 }  // namespace
@@ -127,14 +123,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-
-  const std::string kernel = args.get("kernel", "soa");
-  if (kernel != "soa" && kernel != "reference") {
-    std::fprintf(stderr, "error: --kernel expects 'soa' or 'reference', "
-                 "got '%s'\n", kernel.c_str());
-    return 2;
-  }
-  config.atoms.use_reference_kernel = kernel == "reference";
 
   const auto index = static_cast<std::size_t>(
       args.get_int("snapshot", 0, 0, std::numeric_limits<long>::max()));
@@ -226,8 +214,12 @@ int main(int argc, char** argv) {
   }
 
   if (args.has("csv")) {
-    write_csv(args.get("csv"), snap, atoms);
-    std::fprintf(stderr, "wrote %s (%zu atoms)\n", args.get("csv").c_str(),
+    const std::string path = args.get("csv");
+    if (!write_csv(path, snap, atoms)) {
+      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+      return 1;
+    }
+    std::fprintf(stderr, "wrote %s (%zu atoms)\n", path.c_str(),
                  atoms.atoms.size());
   }
   return 0;

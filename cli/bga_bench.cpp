@@ -3,8 +3,8 @@
 // Every table/figure of the paper is a registered experiment
 // (bench/experiments/); this binary runs any subset in one process,
 // sharing a worker pool and a campaign cache across experiments, renders
-// the same text the per-figure binaries produce, and optionally emits the
-// whole run as machine-readable JSON.
+// each result as text, and optionally emits the whole run as
+// machine-readable JSON.
 #include <cstdio>
 #include <exception>
 #include <sstream>
@@ -56,6 +56,17 @@ std::vector<std::string> split_filters(const std::string& value) {
     if (!item.empty()) out.push_back(item);
   }
   return out;
+}
+
+/// Writes `doc` and a trailing newline to `path`; false if the file
+/// cannot be opened, written or closed.
+bool write_document(const std::string& path, const std::string& doc) {
+  std::FILE* out = std::fopen(path.c_str(), "w");
+  if (!out) return false;
+  const bool written =
+      std::fwrite(doc.data(), 1, doc.size(), out) == doc.size() &&
+      std::fputc('\n', out) != EOF;
+  return std::fclose(out) == 0 && written;
 }
 
 }  // namespace
@@ -114,15 +125,10 @@ int main(int argc, char** argv) {
 
   if (args.has("json")) {
     const std::string path = args.get("json");
-    const std::string doc = report::to_json(report).serialize();
-    std::FILE* out = std::fopen(path.c_str(), "w");
-    if (!out) {
+    if (!write_document(path, report::to_json(report).serialize())) {
       std::fprintf(stderr, "bga_bench: cannot write %s\n", path.c_str());
       return 2;
     }
-    std::fwrite(doc.data(), 1, doc.size(), out);
-    std::fputc('\n', out);
-    std::fclose(out);
     std::printf("JSON report written to %s\n", path.c_str());
   }
 
@@ -134,14 +140,10 @@ int main(int argc, char** argv) {
     const report::json::Value trace =
         report::trace_to_json(obs::registry().snapshot(), meta);
     const std::string doc = trace.serialize();
-    std::FILE* out = std::fopen(path.c_str(), "w");
-    if (!out) {
+    if (!write_document(path, doc)) {
       std::fprintf(stderr, "bga_bench: cannot write %s\n", path.c_str());
       return 2;
     }
-    std::fwrite(doc.data(), 1, doc.size(), out);
-    std::fputc('\n', out);
-    std::fclose(out);
     // Round-trip the document through the parser before declaring it
     // good: the trace contract is exactly "parses + validates".
     const std::string problem =

@@ -106,7 +106,12 @@ int main(int argc, char** argv) {
   if (args.has("text")) {
     bgp::dump_snapshot(std::cout, ds, ds.snapshots[0]);
   }
-  bgp::write_archive_file(ds, out);
+  try {
+    bgp::write_archive_file(ds, out);
+  } catch (const bgp::ArchiveError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   std::fprintf(stderr,
                "wrote %s: %zu snapshot(s), %zu RIB records, %zu updates\n",
                out.c_str(), ds.snapshots.size(),

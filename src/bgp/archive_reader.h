@@ -68,8 +68,8 @@ class ArchiveReader {
   std::uint64_t file_bytes() const { return file_size_; }
 
   /// High-water mark of the transient decode buffer: the largest section
-  /// payload. The bounded-peak-memory evidence reported by
-  /// bench/perf_archive.
+  /// payload. ArchiveViewResidency in tests/test_views.cpp asserts it
+  /// stays below half of an 8-snapshot file.
   std::uint64_t peak_buffer_bytes() const { return peak_buffer_; }
 
  private:

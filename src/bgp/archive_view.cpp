@@ -11,8 +11,8 @@ void ArchiveView::note_residency() {
       (snap_ ? Dataset::record_count(*snap_) : 0) +
       (chunk_ ? chunk_->size() : 0);
   // Distribution of chunk/section residency as the cursors advance: the
-  // streamed-path bound perf_archive --rss-guard enforces, now visible
-  // per run in the trace document.
+  // streamed-path bound ArchiveViewResidency (tests/test_views.cpp)
+  // enforces, visible per run in the trace document.
   OBS_HISTOGRAM("archive.resident_records", resident);
   if (resident > peak_resident_) peak_resident_ = resident;
 }

@@ -7,7 +7,7 @@
 // the snapshot slot before loading the first chunk. peak_resident_records()
 // therefore stays at max(largest snapshot, largest snapshot-to-chunk
 // overlap) and does not grow with the number of snapshots in the archive;
-// bench/perf_archive --rss-guard enforces this.
+// ArchiveViewResidency in tests/test_views.cpp enforces this.
 #pragma once
 
 #include <optional>

@@ -49,8 +49,9 @@ class SnapshotView {
   /// High-water mark of raw records (RIB rows + update records) resident
   /// in this view at any one time. For a streamed backend this is bounded
   /// by one snapshot section plus one update chunk; for an in-memory
-  /// backend it is the whole dataset. bench/perf_archive --rss-guard
-  /// asserts the streamed bound does not scale with snapshot count.
+  /// backend it is the whole dataset. ArchiveViewResidency in
+  /// tests/test_views.cpp asserts the streamed bound does not scale with
+  /// snapshot count.
   virtual std::size_t peak_resident_records() const = 0;
 };
 

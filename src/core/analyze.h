@@ -10,10 +10,11 @@
 // Retention: with keep_all the result owns every SanitizedSnapshot and
 // AtomSet (what core::Campaign exposes); without it only the reference
 // snapshot's products are kept — O(1) in the number of snapshots, which
-// is what keeps the streamed path's residency flat (perf_archive
-// --rss-guard). A reference_snapshot > 0 additionally buffers the atoms
-// of the snapshots before it (stability is reference-vs-later), bounded
-// by the reference index, not the archive length.
+// keeps the streamed path flat on top of ArchiveView's one-section
+// residency bound (ArchiveViewResidency in tests/test_views.cpp). A
+// reference_snapshot > 0 additionally buffers the atoms of the snapshots
+// before it (stability is reference-vs-later), bounded by the reference
+// index, not the archive length.
 //
 // Outputs are bit-identical between backends and to the pre-view
 // pipeline: same kernels, same call order per snapshot.

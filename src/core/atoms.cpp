@@ -13,8 +13,8 @@
 namespace bgpatoms::core {
 
 void check_packing_limits(std::size_t vp_count, std::size_t path_count) {
-  // VP ids occupy 32 bits in both kernels (the CSR entry's upper half,
-  // the matrix column index); a wider snapshot would silently truncate.
+  // VP ids occupy 32 bits (the matrix column index, Atom::paths' vp
+  // ids); a wider snapshot would silently truncate.
   if (vp_count > UINT32_MAX) {
     throw std::runtime_error(
         "compute_atoms: snapshot has " + std::to_string(vp_count) +
@@ -54,8 +54,8 @@ class OriginCache {
   std::vector<std::uint8_t> seen_;
 };
 
-/// Per-atom origin/MOAS derivation plus the set-level indexes, shared by
-/// both kernels once atom `a`'s prefixes and paths are final.
+/// Per-atom origin/MOAS derivation plus the set-level indexes, once atom
+/// `a`'s prefixes and paths are final.
 void finalize_atom(AtomSet& out, OriginCache& origin_of, std::uint32_t a) {
   Atom& atom = out.atoms[a];
   net::Asn origin = 0;
@@ -76,8 +76,8 @@ void finalize_atom(AtomSet& out, OriginCache& origin_of, std::uint32_t a) {
 
 constexpr std::size_t kParallelMinPrefixes = 4096;
 
-/// Rejects malformed AtomOptions::vp_subset values before any kernel
-/// indexes through them: entries must be strictly ascending column
+/// Rejects malformed AtomOptions::vp_subset values before the matrix
+/// build indexes through them: entries must be strictly ascending column
 /// indices into a snapshot with `vp_count` vantage points.
 void validate_vp_subset(const std::vector<std::uint32_t>& subset,
                         std::size_t vp_count) {
@@ -223,9 +223,6 @@ AtomSignatureMatrix AtomSignatureMatrix::build(
 
 AtomSet compute_atoms(const SanitizedSnapshot& snapshot,
                       const AtomOptions& options) {
-  if (options.use_reference_kernel) {
-    return compute_atoms_reference(snapshot, options);
-  }
   OBS_SPAN("atoms.compute");
   AtomSet out;
   out.snapshot = &snapshot;
@@ -333,175 +330,6 @@ AtomSet compute_atoms(const SanitizedSnapshot& snapshot,
     OBS_SPAN("atoms.finalize");
     out.own_pool = matrix.stripped_pool();
     atoms_detail::fill_atom_bodies(out, merged, matrix, &pool);
-  }
-  return out;
-}
-
-// --------------------------------------------------- reference CSR kernel
-
-AtomSet compute_atoms_reference(const SanitizedSnapshot& snapshot,
-                                const AtomOptions& options) {
-  check_packing_limits(snapshot.vps.size(), snapshot.paths.size());
-  validate_vp_subset(options.vp_subset, snapshot.vps.size());
-  // Masked runs iterate only the selected tables and pack subset-relative
-  // VP ids, mirroring the SoA matrix's column layout — so both kernels
-  // stay bit-identical to a physical column drop.
-  const bool masked = !options.vp_subset.empty();
-  const std::size_t num_vps =
-      masked ? options.vp_subset.size() : snapshot.vps.size();
-  const auto table_of = [&](std::size_t col) -> const VpTable& {
-    return snapshot.vps[masked ? options.vp_subset[col] : col];
-  };
-  AtomSet out;
-  out.snapshot = &snapshot;
-
-  // Dense index over the retained prefixes.
-  const auto& prefixes = snapshot.prefixes;
-  std::unordered_map<bgp::PrefixId, std::uint32_t> dense;
-  dense.reserve(prefixes.size());
-  for (std::uint32_t i = 0; i < prefixes.size(); ++i) {
-    dense.emplace(prefixes[i], i);
-  }
-
-  // Optional method-(i) path rewrite: prepending collapsed before grouping.
-  std::shared_ptr<net::PathPool> stripped_pool;
-  if (options.strip_prepends_before_grouping) {
-    stripped_pool = std::make_shared<net::PathPool>();
-  }
-  std::vector<bgp::PathId> stripped_id;
-  auto effective_path = [&](bgp::PathId id) -> bgp::PathId {
-    if (!stripped_pool) return id;
-    if (stripped_id.size() < snapshot.paths.size()) {
-      stripped_id.resize(snapshot.paths.size(), UINT32_MAX);
-    }
-    if (stripped_id[id] == UINT32_MAX) {
-      stripped_id[id] =
-          stripped_pool->intern(snapshot.paths.get(id).stripped());
-    }
-    return stripped_id[id];
-  };
-
-  // Signature accumulation in CSR form: one (vp, path) entry per record.
-  // Entries per prefix arrive in ascending vp order because we iterate
-  // tables in vp order.
-  std::vector<std::uint32_t> counts(prefixes.size(), 0);
-  for (std::size_t col = 0; col < num_vps; ++col) {
-    for (const auto& [prefix, path] : table_of(col).routes) {
-      (void)path;
-      ++counts[dense.at(prefix)];
-    }
-  }
-  std::vector<std::uint64_t> offsets(prefixes.size() + 1, 0);
-  for (std::size_t i = 0; i < prefixes.size(); ++i) {
-    offsets[i + 1] = offsets[i] + counts[i];
-  }
-  std::vector<std::uint64_t> entries(offsets.back());
-  {
-    std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
-    // The packed entry reserves the upper 32 bits for the VP id; the loop
-    // counter must be at least that wide or it wraps (and never ends) past
-    // 65535 VPs. check_packing_limits() above rejects wider snapshots.
-    for (std::uint32_t vp = 0; vp < static_cast<std::uint32_t>(num_vps);
-         ++vp) {
-      for (const auto& [prefix, path] : table_of(vp).routes) {
-        const std::uint32_t idx = dense.at(prefix);
-        entries[cursor[idx]++] =
-            (static_cast<std::uint64_t>(vp) << 32) | effective_path(path);
-      }
-    }
-  }
-
-  // Group prefixes by signature (hash bucket + exact span equality).
-  // Sharded by signature hash: equal signatures share a hash, so shards
-  // group independently; the merge orders groups by their lowest prefix
-  // index, reproducing the sequential first-encounter order bit-exactly
-  // for any worker count.
-  auto signature = [&](std::uint32_t idx) {
-    return std::span<const std::uint64_t>(entries.data() + offsets[idx],
-                                          counts[idx]);
-  };
-  const std::size_t n = prefixes.size();
-  TaskPool pool(n >= kParallelMinPrefixes ? options.threads : 1);
-
-  std::vector<std::uint64_t> hashes(n);
-  constexpr std::size_t kChunk = 2048;
-  pool.run((n + kChunk - 1) / kChunk, [&](std::size_t c) {
-    const std::size_t hi = std::min(n, (c + 1) * kChunk);
-    for (std::size_t idx = c * kChunk; idx < hi; ++idx) {
-      hashes[idx] = hash_span(signature(static_cast<std::uint32_t>(idx)),
-                              0x9d3f);
-    }
-  });
-
-  constexpr std::size_t kShards = 64;
-  std::vector<std::uint64_t> shard_offset(kShards + 1, 0);
-  for (std::uint64_t h : hashes) ++shard_offset[(h % kShards) + 1];
-  for (std::size_t s = 0; s < kShards; ++s) {
-    shard_offset[s + 1] += shard_offset[s];
-  }
-  std::vector<std::uint32_t> shard_items(n);
-  {
-    std::vector<std::uint64_t> cursor(shard_offset.begin(),
-                                      shard_offset.end() - 1);
-    for (std::uint32_t idx = 0; idx < n; ++idx) {
-      shard_items[cursor[hashes[idx] % kShards]++] = idx;
-    }
-  }
-
-  std::vector<std::vector<std::vector<std::uint32_t>>> shard_groups(kShards);
-  pool.run(kShards, [&](std::size_t s) {
-    auto& groups = shard_groups[s];
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> bucket;
-    for (std::uint64_t i = shard_offset[s]; i < shard_offset[s + 1]; ++i) {
-      const std::uint32_t idx = shard_items[i];
-      const auto sig = signature(idx);
-      auto& b = bucket[hashes[idx]];
-      bool placed = false;
-      for (std::uint32_t gid : b) {
-        if (std::ranges::equal(sig, signature(groups[gid].front()))) {
-          groups[gid].push_back(idx);
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) {
-        b.push_back(static_cast<std::uint32_t>(groups.size()));
-        groups.push_back({idx});
-      }
-    }
-  });
-
-  // Deterministic merge: shard items were claimed in ascending prefix-index
-  // order, so each group's front() is its minimum index.
-  std::vector<std::vector<std::uint32_t>> merged;
-  for (auto& groups : shard_groups) {
-    merged.insert(merged.end(), std::make_move_iterator(groups.begin()),
-                  std::make_move_iterator(groups.end()));
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const auto& a, const auto& b) { return a.front() < b.front(); });
-  out.atoms.reserve(merged.size());
-  for (const auto& group : merged) {
-    Atom atom;
-    atom.prefixes.reserve(group.size());
-    for (std::uint32_t idx : group) atom.prefixes.push_back(prefixes[idx]);
-    out.atoms.push_back(std::move(atom));
-  }
-
-  // Finalize: per-atom paths, origin, MOAS flag, indexes.
-  out.own_pool = stripped_pool;
-  OriginCache origin_of(out.paths());
-  out.atom_of.reserve(n);
-  for (std::uint32_t a = 0; a < out.atoms.size(); ++a) {
-    Atom& atom = out.atoms[a];
-    std::sort(atom.prefixes.begin(), atom.prefixes.end());
-    const auto sig = signature(dense.at(atom.prefixes.front()));
-    atom.paths.reserve(sig.size());
-    for (std::uint64_t e : sig) {
-      atom.paths.emplace_back(static_cast<std::uint32_t>(e >> 32),
-                              static_cast<bgp::PathId>(e & 0xffffffffu));
-    }
-    finalize_atom(out, origin_of, a);
   }
   return out;
 }

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "core/parallel.h"
 #include "obs/obs.h"
 
 namespace bgpatoms::report {
@@ -75,67 +74,6 @@ std::shared_ptr<const core::Campaign> CampaignCache::campaign(
   ++stats_.campaign_misses;
   OBS_COUNT("cache.campaign_misses");
   return it->second;
-}
-
-core::QuarterMetrics CampaignCache::quarter(
-    const core::CampaignConfig& config) {
-  const std::string key = campaign_cache_key(config);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = quarters_.find(key);
-    if (it != quarters_.end()) {
-      ++stats_.quarter_hits;
-      OBS_COUNT("cache.quarter_hits");
-      return it->second;
-    }
-  }
-  const core::QuarterMetrics m =
-      core::quarter_metrics(core::run_campaign(config), config.year);
-  std::lock_guard<std::mutex> lock(mu_);
-  quarters_.emplace(key, m);
-  ++stats_.quarter_misses;
-  OBS_COUNT("cache.quarter_misses");
-  return m;
-}
-
-std::vector<core::QuarterMetrics> CampaignCache::sweep(
-    std::vector<core::SweepJob> jobs, const core::SweepOptions& options) {
-  // Finalize seeds exactly as core::run_sweep would, so the cache key is
-  // the configuration the job actually runs with.
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (jobs[i].config.seed == 0) {
-      jobs[i].config.seed = core::derive_seed(options.base_seed, i);
-    }
-  }
-
-  std::vector<core::QuarterMetrics> out(jobs.size());
-  std::vector<core::SweepJob> missing;
-  std::vector<std::size_t> missing_at;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const auto it = quarters_.find(campaign_cache_key(jobs[i].config));
-      if (it != quarters_.end()) {
-        out[i] = it->second;
-        ++stats_.quarter_hits;
-        OBS_COUNT("cache.quarter_hits");
-      } else {
-        missing.push_back(jobs[i]);
-        missing_at.push_back(i);
-      }
-    }
-  }
-  if (missing.empty()) return out;
-
-  const auto fresh = core::run_sweep(missing, options);
-  std::lock_guard<std::mutex> lock(mu_);
-  for (std::size_t j = 0; j < fresh.size(); ++j) {
-    out[missing_at[j]] = fresh[j];
-    quarters_.emplace(campaign_cache_key(missing[j].config), fresh[j]);
-    ++stats_.quarter_misses;
-    OBS_COUNT("cache.quarter_misses");
-  }
-  return out;
 }
 
 CampaignCache::Stats CampaignCache::stats() const {

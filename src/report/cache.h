@@ -1,15 +1,14 @@
-// Keyed campaign cache: CampaignConfig -> materialized Campaign /
-// QuarterMetrics.
+// Keyed campaign cache: CampaignConfig -> materialized Campaign.
 //
 // Several experiments run byte-identical campaigns (the repro-2002 family
 // all starts from the same §3.1 configuration; Tables 1/2 and Figure 2
 // share the 2004 and 2024 snapshots; Table 4 and Figure 8 share the v4/v6
 // 2024 pair). One bga_bench process runs them all, so each distinct
 // configuration is simulated once and every later request is a cache hit
-// with pointer-identical (campaigns) or equal (metrics) results —
-// simulation is deterministic, so hits are bit-identical to cold runs.
+// with a pointer-identical result — simulation is deterministic, so hits
+// are bit-identical to cold runs.
 //
-// Thread-safety: the maps are mutex-guarded; campaigns are computed
+// Thread-safety: the map is mutex-guarded; campaigns are computed
 // outside the lock. Experiments run sequentially (parallelism lives
 // inside sweeps), so concurrent duplicate computes don't arise in
 // practice — and would be benign (deterministic results, first insert
@@ -21,7 +20,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "core/longitudinal.h"
 
@@ -40,30 +38,17 @@ class CampaignCache {
   std::shared_ptr<const core::Campaign> campaign(
       const core::CampaignConfig& config);
 
-  /// Cached equivalent of core::run_quarter for one finalized config.
-  core::QuarterMetrics quarter(const core::CampaignConfig& config);
-
-  /// Cached equivalent of core::run_sweep: jobs already satisfied by the
-  /// metrics cache are returned without re-simulating; only the misses
-  /// run (through `options`, including its shared pool). Job order and
-  /// seed derivation match core::run_sweep exactly.
-  std::vector<core::QuarterMetrics> sweep(std::vector<core::SweepJob> jobs,
-                                          const core::SweepOptions& options);
-
   struct Stats {
     std::size_t campaign_hits = 0;
     std::size_t campaign_misses = 0;
-    std::size_t quarter_hits = 0;
-    std::size_t quarter_misses = 0;
-    std::size_t hits() const { return campaign_hits + quarter_hits; }
-    std::size_t misses() const { return campaign_misses + quarter_misses; }
+    std::size_t hits() const { return campaign_hits; }
+    std::size_t misses() const { return campaign_misses; }
   };
   Stats stats() const;
 
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<const core::Campaign>> campaigns_;
-  std::map<std::string, core::QuarterMetrics> quarters_;
   Stats stats_;
 };
 

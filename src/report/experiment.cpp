@@ -107,7 +107,7 @@ const core::Campaign& Context::campaign(const core::CampaignConfig& config) {
 
 std::vector<core::QuarterMetrics> Context::run_sweep(
     std::vector<core::SweepJob> jobs) {
-  return cache_.sweep(std::move(jobs), sweep_options());
+  return core::run_sweep(jobs, sweep_options());
 }
 
 void Context::note(std::string line) {
@@ -227,8 +227,6 @@ json::Value to_json(const RunReport& report) {
   json::Object cache{
       {"campaign_hits", report.cache.campaign_hits},
       {"campaign_misses", report.cache.campaign_misses},
-      {"quarter_hits", report.cache.quarter_hits},
-      {"quarter_misses", report.cache.quarter_misses},
   };
   return json::Value(json::Object{
       {"schema", "bgpatoms-report/1"},

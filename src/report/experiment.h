@@ -109,9 +109,8 @@ class Context {
   core::SweepOptions sweep_options() const;
   /// Cached campaign (kept alive for the whole run; see CampaignCache).
   const core::Campaign& campaign(const core::CampaignConfig& config);
-  /// Cached sweep over the shared pool.
+  /// Sweep over the shared pool (core::run_sweep; not cached).
   std::vector<core::QuarterMetrics> run_sweep(std::vector<core::SweepJob> jobs);
-  CampaignCache& cache() { return cache_; }
 
   // -- result assembly -------------------------------------------------
   void note(std::string line);

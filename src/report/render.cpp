@@ -87,12 +87,8 @@ void render_summary(const RunReport& report, std::FILE* out) {
                  e.id.c_str(), failed ? "FAIL" : "ok",
                  e.checks.size() - failed, e.checks.size(), e.wall_seconds);
   }
-  std::fprintf(out,
-               "\n  campaign cache: %zu hits, %zu misses "
-               "(campaigns %zu/%zu, quarters %zu/%zu)\n",
-               report.cache.hits(), report.cache.misses(),
-               report.cache.campaign_hits, report.cache.campaign_misses,
-               report.cache.quarter_hits, report.cache.quarter_misses);
+  std::fprintf(out, "\n  campaign cache: %zu hits, %zu misses\n",
+               report.cache.hits(), report.cache.misses());
   std::fprintf(out, "  shape checks failed: %zu%s\n", report.checks_failed(),
                report.options.strict_checks && report.checks_failed()
                    ? "  (strict mode: failing run)"

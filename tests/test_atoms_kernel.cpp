@@ -1,23 +1,25 @@
 // SoA-vs-reference kernel equivalence and AtomSignatureMatrix unit tests.
 //
 // compute_atoms() (SoA matrix kernel) must reproduce
-// compute_atoms_reference() (the historical CSR kernel) field-for-field —
-// atom order, member order, per-VP paths, origin/MOAS flags, indexes and
-// the method-(i) rewrite pool — for every snapshot shape and any thread
-// count. These tests pin that contract on the edge cases the rewrite must
-// preserve.
+// compute_atoms_reference() (the historical CSR kernel, kept in
+// atoms_reference.h) field-for-field — atom order, member order, per-VP
+// paths, origin/MOAS flags, indexes and the method-(i) rewrite pool — for
+// every snapshot shape and any thread count. These tests pin that
+// contract on the edge cases the rewrite must preserve.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 
+#include "atoms_reference.h"
 #include "core/atoms.h"
 #include "testutil.h"
 
 namespace bgpatoms::core {
 namespace {
 
+using test::compute_atoms_reference;
 using test::DatasetBuilder;
 
 /// Full structural equality between two atom sets (operator== on Atom
@@ -53,8 +55,7 @@ void expect_kernels_agree(const SanitizedSnapshot& snap,
     AtomOptions opt = base;
     opt.threads = threads;
     expect_identical(compute_atoms(snap, opt), oracle);
-    opt.use_reference_kernel = true;
-    expect_identical(compute_atoms(snap, opt), oracle);
+    expect_identical(compute_atoms_reference(snap, opt), oracle);
   }
 }
 
@@ -148,15 +149,6 @@ TEST(AtomsKernel, LargeSnapshotAboveParallelGate) {
   ASSERT_GE(snap.prefixes.size(), 4096u);
   expect_kernels_agree(snap);
   expect_kernels_agree(snap, /*strip_prepends=*/true);
-}
-
-TEST(AtomsKernel, UseReferenceKernelOptionDispatches) {
-  DatasetBuilder b;
-  b.peer(100).route("10.0.0.0/16", "100 1").route("10.1.0.0/16", "100 2");
-  const auto snap = sanitize(b.dataset(), 0, test::lax_config());
-  AtomOptions opt;
-  opt.use_reference_kernel = true;
-  expect_identical(compute_atoms(snap, opt), compute_atoms_reference(snap));
 }
 
 // ------------------------------------------------------- masked grouping
@@ -289,9 +281,7 @@ TEST(AtomsKernel, MalformedVpSubsetThrows) {
     AtomOptions opt;
     opt.vp_subset = bad;
     EXPECT_THROW(compute_atoms(snap, opt), std::invalid_argument);
-    opt.use_reference_kernel = true;
-    EXPECT_THROW(compute_atoms(snap, opt), std::invalid_argument);
-    opt.use_reference_kernel = false;
+    EXPECT_THROW(compute_atoms_reference(snap, opt), std::invalid_argument);
     EXPECT_THROW(AtomSignatureMatrix::build(snap, opt), std::invalid_argument);
   }
 }

@@ -231,46 +231,6 @@ TEST(CampaignCache, SecondCampaignRequestIsAPointerIdenticalHit) {
   EXPECT_EQ(cache.stats().campaign_misses, 1u);
 }
 
-TEST(CampaignCache, SweepHitsMatchColdRunBitExactly) {
-  std::vector<core::SweepJob> jobs;
-  jobs.push_back(core::quarter_job(net::Family::kIPv4, 2010.0, 0.002, 11));
-  jobs.push_back(core::quarter_job(net::Family::kIPv4, 2012.0, 0.002, 12));
-  core::SweepOptions options;
-  options.threads = 1;
-
-  const auto cold = core::run_sweep(jobs, options);
-
-  report::CampaignCache cache;
-  const auto warm1 = cache.sweep(jobs, options);
-  EXPECT_EQ(cache.stats().quarter_misses, 2u);
-  const auto warm2 = cache.sweep(jobs, options);
-  EXPECT_EQ(cache.stats().quarter_hits, 2u);
-  EXPECT_EQ(warm1, cold);
-  EXPECT_EQ(warm2, cold);
-}
-
-TEST(CampaignCache, SweepDerivesSeedsAtOriginalIndices) {
-  // A job with seed 0 takes derive_seed(base_seed, i) at its position i —
-  // also when an earlier job in the list is already cached.
-  std::vector<core::SweepJob> jobs;
-  jobs.push_back(core::quarter_job(net::Family::kIPv4, 2010.0, 0.002, 21));
-  core::SweepJob derived;
-  derived.config.year = 2012.0;
-  derived.config.scale = 0.002;
-  derived.config.seed = 0;  // finalized from base_seed and index
-  jobs.push_back(derived);
-  core::SweepOptions options;
-  options.threads = 1;
-  options.base_seed = 7;
-
-  const auto cold = core::run_sweep(jobs, options);
-  report::CampaignCache cache;
-  cache.sweep({jobs[0]}, options);  // prime only the first job
-  const auto mixed = cache.sweep(jobs, options);
-  EXPECT_EQ(mixed, cold);
-  EXPECT_EQ(cache.stats().quarter_hits, 1u);
-}
-
 // ----------------------------------------------------------------- options
 
 class RunOptionsTest : public ::testing::Test {

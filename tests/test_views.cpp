@@ -8,6 +8,7 @@
 // snapshots the archive holds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -21,6 +22,7 @@
 #include "core/analyze.h"
 #include "core/longitudinal.h"
 #include "obs/obs.h"
+#include "routing/simulator.h"
 
 namespace bgpatoms::core {
 namespace {
@@ -337,6 +339,70 @@ TEST(ViewEquivalence, InstrumentedCountersMatchAcrossBackends) {
   }
 }
 #endif  // BGPATOMS_OBS_ENABLED
+
+// --- streamed residency -----------------------------------------------------
+
+/// Writes a 2020 x0.01 campaign (seed 42) with `snapshots` captures an
+/// hour apart and an hour of updates after the first.
+void write_residency_archive(int snapshots, const std::string& path) {
+  routing::Simulator sim(
+      topo::generate_topology(topo::era_params_v4(2020.0, 0.01), 42));
+  sim.capture();
+  sim.emit_updates(routing::kHour);
+  for (int i = 1; i < snapshots; ++i) {
+    sim.advance_to((i + 1) * routing::kHour);
+    sim.capture();
+  }
+  bgp::write_archive_file(sim.dataset(), path);
+}
+
+struct StreamStats {
+  std::size_t snapshots = 0;
+  std::size_t largest_snapshot_records = 0;
+  std::size_t peak_resident_records = 0;
+  std::uint64_t peak_buffer_bytes = 0;
+  std::uint64_t file_bytes = 0;
+};
+
+/// Drains `path` through an ArchiveView, snapshots then update chunks,
+/// and reads its residency counters.
+StreamStats stream_archive(const std::string& path) {
+  bgp::ArchiveView view(path);
+  StreamStats s;
+  while (const bgp::Snapshot* snap = view.next_snapshot()) {
+    ++s.snapshots;
+    s.largest_snapshot_records = std::max(s.largest_snapshot_records,
+                                          bgp::Dataset::record_count(*snap));
+  }
+  while (!view.next_chunk().empty()) {
+  }
+  s.peak_resident_records = view.peak_resident_records();
+  s.peak_buffer_bytes = view.archive().peak_buffer_bytes();
+  s.file_bytes = view.archive().file_bytes();
+  return s;
+}
+
+TEST(ArchiveViewResidency, PeakTracksTheLargestSectionNotTheSnapshotCount) {
+  TempFile small("residency_2snap.bga");
+  TempFile large("residency_8snap.bga");
+  write_residency_archive(2, small.path());
+  write_residency_archive(8, large.path());
+  const StreamStats s2 = stream_archive(small.path());
+  const StreamStats s8 = stream_archive(large.path());
+
+  EXPECT_EQ(s2.snapshots, 2u);
+  EXPECT_EQ(s8.snapshots, 8u);
+  // At most one snapshot section plus one update chunk is resident.
+  const std::size_t chunk = bgp::archive_detail::kUpdatesPerChunk;
+  EXPECT_LE(s2.peak_resident_records, s2.largest_snapshot_records + chunk);
+  EXPECT_LE(s8.peak_resident_records, s8.largest_snapshot_records + chunk);
+  // 4x the snapshot sections may move the peak only by per-section
+  // variation (25% slack): residency tracks the largest section, never
+  // the section count.
+  EXPECT_LE(s8.peak_resident_records * 4, s2.peak_resident_records * 5);
+  // The stream buffer holds one framed section, well below the file.
+  EXPECT_LT(s8.peak_buffer_bytes * 2, s8.file_bytes);
+}
 
 // --- DatasetView basics -----------------------------------------------------
 

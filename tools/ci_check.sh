@@ -31,10 +31,10 @@ for stage in "${STAGES[@]}"; do
       configure default build
       cmake --build --preset default -j "${JOBS}"
       ctest --test-dir build --output-on-failure -j "${JOBS}"
-      # Propagation micro-bench smoke: one iteration of each BM_* so the
-      # policy-engine benchmark harness cannot rot (numbers are not
-      # asserted here; run build/bench/perf_propagate for real timings).
-      ./build/bench/perf_propagate --benchmark_min_time=0.01
+      # Self-tests of the repository benchmark's measurement rules and its
+      # compare tool, so the one perf harness keeps building; run
+      # `python3 perfbench/run.py --workload ...` for real numbers.
+      python3 perfbench/run.py --self-test
       ;;
     serve)
       # bga_serve protocol + live-socket smoke (tests/test_serve.cpp);
