@@ -1,8 +1,8 @@
-// Incremental atom maintenance vs per-boundary recompute (ROADMAP item
-// 2): replay a mostly-stable synthetic update stream over one 2024-scale
-// snapshot and compare following it with core::IncrementalAtoms
-// (O(changes) per boundary) against recomputing compute_atoms() at every
-// snapshot boundary (O(table) each).
+// Incremental atom maintenance vs per-boundary recompute: replay a
+// mostly-stable synthetic update stream over one 2024-scale snapshot and
+// compare following it with core::IncrementalAtoms (O(changes) per
+// boundary) against recomputing compute_atoms() at every snapshot
+// boundary (O(table) each).
 //
 // Correctness is asserted before speed: the maintained partition's
 // fingerprint must equal the recompute's at *every* boundary, the final

@@ -1,7 +1,7 @@
-// Query-layer serving perf (ROADMAP item 1): drive a large randomized
-// query mix through the exact ServeState::handle() the bga_serve socket
-// loop runs — in-process, so the numbers are the handler cost without
-// kernel/socket noise — and report per-op p50/p99 latency plus QPS.
+// Query-layer serving perf: drive a large randomized query mix through
+// the exact ServeState::handle() the bga_serve socket loop runs —
+// in-process, so the numbers are the handler cost without kernel/socket
+// noise — and report per-op p50/p99 latency plus QPS.
 //
 // Correctness is asserted before speed: every AtomIndex fingerprint must
 // equal core::partition_fingerprint() of the batch AtomSet it was built

@@ -89,7 +89,6 @@ const char* kind_name(routing::ScenarioKind kind) {
     case routing::ScenarioKind::kOriginHijack: return "origin hijack";
     case routing::ScenarioKind::kSubPrefixHijack: return "sub-prefix hijack";
     case routing::ScenarioKind::kRouteLeak: return "route leak";
-    case routing::ScenarioKind::kRovAdopt: return "ROV adoption wave";
   }
   return "?";
 }

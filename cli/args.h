@@ -1,4 +1,5 @@
-// Minimal command-line option parser shared by the CLI tools.
+// Minimal command-line option parser shared by the CLI tools, plus the
+// exit-path helpers every tool uses (--metrics summary, stdout check).
 //
 // Supports "--name value", "--name=value", "-x value" and boolean
 // "--flag"; positional arguments are collected in order. Tokens that
@@ -12,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iostream>
 #include <limits>
 #include <map>
 #include <optional>
@@ -20,6 +22,7 @@
 
 #include "core/env.h"
 #include "net/prefix.h"
+#include "obs/obs.h"
 
 namespace bgpatoms::cli {
 
@@ -150,5 +153,26 @@ class Args {
   std::map<std::string, std::string> options_;
   std::vector<std::string> positional_;
 };
+
+/// Scope guard for --metrics: dumps the obs registry on every exit path.
+struct MetricsAtExit {
+  bool enabled = false;
+  ~MetricsAtExit() {
+    if (enabled) obs::print_summary(stderr);
+  }
+};
+
+/// Flushes standard output (std::cout and stdout) and returns `status`.
+/// If any write to it failed (a full disk, a closed pipe), prints
+/// "error: cannot write standard output" and returns `failure` instead,
+/// so lost output is never reported as success.
+inline int checked_stdout(int status, int failure = 1) {
+  std::cout.flush();
+  const bool failed =
+      std::fflush(stdout) != 0 || std::ferror(stdout) != 0 || !std::cout;
+  if (!failed) return status;
+  std::fputs("error: cannot write standard output\n", stderr);
+  return failure;
+}
 
 }  // namespace bgpatoms::cli

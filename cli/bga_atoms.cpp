@@ -14,6 +14,7 @@
 #include <climits>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,7 +26,6 @@
 #include "core/formation.h"
 #include "core/stability.h"
 #include "core/stats.h"
-#include "obs/obs.h"
 #include "report/options.h"
 
 using namespace bgpatoms;
@@ -63,14 +63,6 @@ constexpr char kUsage[] =
     "  --metrics            print instrumentation counters/timers to\n"
     "                       stderr on exit\n";
 
-/// Scope guard for --metrics: dumps the obs registry on every exit path.
-struct MetricsAtExit {
-  bool enabled = false;
-  ~MetricsAtExit() {
-    if (enabled) obs::print_summary(stderr);
-  }
-};
-
 /// Writes one CSV row per atom; false if the file cannot be opened,
 /// written or closed.
 bool write_csv(const std::string& path, const core::SanitizedSnapshot& snap,
@@ -97,7 +89,7 @@ bool write_csv(const std::string& path, const core::SanitizedSnapshot& snap,
 int main(int argc, char** argv) {
   const cli::Args args(argc, argv);
   args.usage_if(args.positional().empty(), kUsage);
-  const MetricsAtExit metrics{args.has("metrics")};
+  const cli::MetricsAtExit metrics{args.has("metrics")};
 
   core::AnalysisConfig config;
   // The range bounds make the int narrowing below safe: out-of-range
@@ -146,21 +138,27 @@ int main(int argc, char** argv) {
     trend_config.keep_all = false;
     trend_config.with_updates = true;
     trend_config.incremental = true;
-    return cli::run_trend(
+    // A result resolves prefix ids through its archive's dictionary
+    // (SanitizedSnapshot::prefix_pool), so each view lives until the
+    // next archive replaces it.
+    std::optional<bgp::ArchiveView> view;
+    return cli::checked_stdout(cli::run_trend(
         args.positional(),
         [&](const std::string& path) {
-          bgp::ArchiveView view(path);
-          return core::analyze(view, &view, trend_config);
+          view.emplace(path);
+          return core::analyze(*view, &*view, trend_config);
         },
-        stdout, stderr);
+        stdout, stderr));
   }
 
   // Single-archive mode: stream the file through one analysis pass; only
   // the reference snapshot's sanitized tables and atoms stay resident.
+  // The view outlives `r`, whose prefix ids resolve through it.
+  std::optional<bgp::ArchiveView> view;
   core::AnalysisResult r;
   try {
-    bgp::ArchiveView view(args.positional()[0]);
-    r = core::analyze(view, nullptr, config);
+    view.emplace(args.positional()[0]);
+    r = core::analyze(*view, nullptr, config);
   } catch (const bgp::ArchiveError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
@@ -205,7 +203,7 @@ int main(int argc, char** argv) {
   }
 
   if (args.has("stability") && !r.stability.empty()) {
-    std::printf("\nstability vs snapshot 0:\n");
+    std::printf("\nstability vs snapshot %zu:\n", index);
     for (const auto& s : r.stability) {
       std::printf("  snapshot %zu (t=%lld): CAM %.1f%%  MPM %.1f%%\n", s.index,
                   static_cast<long long>(s.timestamp), 100 * s.result.cam,
@@ -222,5 +220,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "wrote %s (%zu atoms)\n", path.c_str(),
                  atoms.atoms.size());
   }
-  return 0;
+  return cli::checked_stdout(0);
 }

@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
       std::printf("%-20s %-9s %-22s %s\n", e->id.c_str(), e->section.c_str(),
                   e->name.c_str(), e->title.c_str());
     }
-    return 0;
+    return cli::checked_stdout(0, 2);
   }
 
   report::RunOptions options;
@@ -158,5 +158,6 @@ int main(int argc, char** argv) {
 
   if (args.has("metrics")) obs::print_summary(stderr);
 
-  return options.strict_checks && !report.passed() ? 1 : 0;
+  return cli::checked_stdout(
+      options.strict_checks && !report.passed() ? 1 : 0, 2);
 }

@@ -17,7 +17,6 @@
 #include "bgp/archive_view.h"
 #include "cli/args.h"
 #include "net/prefix.h"
-#include "obs/obs.h"
 #include "stream/reader.h"
 
 using namespace bgpatoms;
@@ -41,14 +40,6 @@ constexpr char kUsage[] =
     "  --updates-only     update NLRIs only (no RIB rows)\n"
     "  --metrics          print instrumentation counters/timers to stderr\n"
     "                     on exit\n";
-
-/// Scope guard for --metrics: dumps the obs registry on every exit path.
-struct MetricsAtExit {
-  bool enabled = false;
-  ~MetricsAtExit() {
-    if (enabled) obs::print_summary(stderr);
-  }
-};
 
 void print_summary(bgp::ArchiveReader& reader) {
   std::printf("format:      BGA v2\n");
@@ -128,7 +119,7 @@ void print_text(const std::string& path, const stream::Filters& filters) {
 int main(int argc, char** argv) {
   const cli::Args args(argc, argv);
   args.usage_if(args.positional().empty(), kUsage);
-  const MetricsAtExit metrics{args.has("metrics")};
+  const cli::MetricsAtExit metrics{args.has("metrics")};
   const std::string& path = args.positional()[0];
 
   try {
@@ -149,17 +140,17 @@ int main(int argc, char** argv) {
       if (args.has("rib-only")) filters.include_updates = false;
       if (args.has("updates-only")) filters.include_rib = false;
       print_text(path, filters);
-      return 0;
-    }
-    bgp::ArchiveReader reader(path);
-    if (args.has("peers")) {
-      print_peers(reader);
     } else {
-      print_summary(reader);
+      bgp::ArchiveReader reader(path);
+      if (args.has("peers")) {
+        print_peers(reader);
+      } else {
+        print_summary(reader);
+      }
     }
   } catch (const bgp::ArchiveError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  return 0;
+  return cli::checked_stdout(0);
 }

@@ -1,4 +1,4 @@
-// bga_serve — long-running atom query service (ROADMAP item 1).
+// bga_serve — long-running atom query service.
 //
 //   bga_serve q1.bga q2.bga                # serve on an ephemeral port
 //   bga_serve q1.bga --port 7700           # fixed port
@@ -23,7 +23,6 @@
 #include "bgp/archive_view.h"
 #include "cli/args.h"
 #include "core/analyze.h"
-#include "obs/obs.h"
 #include "query/server.h"
 #include "report/json.h"
 #include "report/options.h"
@@ -53,21 +52,14 @@ constexpr char kUsage[] =
     "  --metrics            print instrumentation counters/timers to\n"
     "                       stderr on exit\n";
 
-/// Scope guard for --metrics: dumps the obs registry on every exit path.
-struct MetricsAtExit {
-  bool enabled = false;
-  ~MetricsAtExit() {
-    if (enabled) obs::print_summary(stderr);
-  }
-};
-
 /// Runs one request through the in-process handler and prints the reply.
 int one_shot(const query::ServeState& state, const report::json::Value& req) {
   const auto reply = state.handle(req.serialize());
   std::printf("%s\n", reply.body.c_str());
   const auto parsed = report::json::Value::parse(reply.body);
   const auto* ok = parsed.find("ok");
-  return ok != nullptr && ok->is_bool() && ok->as_bool() ? 0 : 1;
+  return cli::checked_stdout(
+      ok != nullptr && ok->is_bool() && ok->as_bool() ? 0 : 1);
 }
 
 }  // namespace
@@ -75,7 +67,7 @@ int one_shot(const query::ServeState& state, const report::json::Value& req) {
 int main(int argc, char** argv) {
   const cli::Args args(argc, argv);
   args.usage_if(args.positional().empty(), kUsage);
-  const MetricsAtExit metrics{args.has("metrics")};
+  const cli::MetricsAtExit metrics{args.has("metrics")};
 
   core::AnalysisConfig config;
   config.sanitize.min_peer_ases =

@@ -13,7 +13,6 @@
 #include "bgp/archive.h"
 #include "bgp/textdump.h"
 #include "cli/args.h"
-#include "obs/obs.h"
 #include "routing/simulator.h"
 #include "topo/topology.h"
 
@@ -38,14 +37,6 @@ constexpr char kUsage[] =
     "                  on exit\n"
     "  -o / --out <f>  output archive path (required)\n";
 
-/// Scope guard for --metrics: dumps the obs registry on every exit path.
-struct MetricsAtExit {
-  bool enabled = false;
-  ~MetricsAtExit() {
-    if (enabled) obs::print_summary(stderr);
-  }
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -53,7 +44,7 @@ int main(int argc, char** argv) {
   std::string out = args.get("out", args.get("o"));
   if (out.empty() && !args.positional().empty()) out = args.positional()[0];
   args.usage_if(out.empty(), kUsage);
-  const MetricsAtExit metrics{args.has("metrics")};
+  const cli::MetricsAtExit metrics{args.has("metrics")};
 
   // Bounded at the parse boundary (exit 2 on out-of-range/NaN), same
   // policy as the integer options.
@@ -117,5 +108,5 @@ int main(int argc, char** argv) {
                out.c_str(), ds.snapshots.size(),
                bgp::Dataset::record_count(ds.snapshots[0]),
                ds.updates.size());
-  return 0;
+  return cli::checked_stdout(0);
 }

@@ -15,7 +15,6 @@
 #include "bgp/archive_view.h"
 #include "bgp/mrt.h"
 #include "cli/args.h"
-#include "obs/obs.h"
 
 using namespace bgpatoms;
 
@@ -29,14 +28,6 @@ constexpr char kUsage[] =
     "  --updates           append the BGP4MP update trace (--to-mrt)\n"
     "  --metrics           print instrumentation counters/timers to stderr\n"
     "                      on exit\n";
-
-/// Scope guard for --metrics: dumps the obs registry on every exit path.
-struct MetricsAtExit {
-  bool enabled = false;
-  ~MetricsAtExit() {
-    if (enabled) obs::print_summary(stderr);
-  }
-};
 
 /// Streamed export: the archive flows through bgp::ArchiveView, so only
 /// the snapshot being encoded (plus one update chunk) is ever resident —
@@ -138,7 +129,7 @@ int main(int argc, char** argv) {
   if (!bound.empty()) files.push_back(bound);
   for (const auto& p : raw.positional()) files.push_back(p);
   raw.usage_if(files.size() != 2 || (!to_mrt_mode && !to_bga_mode), kUsage);
-  const MetricsAtExit metrics{raw.has("metrics")};
+  const cli::MetricsAtExit metrics{raw.has("metrics")};
 
   try {
     return to_mrt_mode ? to_mrt(raw, files) : to_bga(raw, files);

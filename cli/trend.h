@@ -29,8 +29,9 @@
 namespace bgpatoms::cli {
 
 /// One summary row per archive on `out`. `analyze_archive` maps a path to
-/// its streamed analysis result (the binary passes an ArchiveView lambda;
-/// tests inject results or throws). When the analysis maintained the atom
+/// its streamed analysis result, which must stay valid until the next
+/// call (the binary keeps each ArchiveView alive that long; tests inject
+/// results or throws). When the analysis maintained the atom
 /// partition through the archive's update stream
 /// (core::AnalysisConfig::incremental), the live-drift columns report the
 /// post-stream atom count and CAM against the reference snapshot. The

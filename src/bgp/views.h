@@ -124,22 +124,4 @@ class DatasetView final : public SnapshotView, public UpdateStreamView {
   std::size_t chunk_size_ = 0;
 };
 
-/// UpdateStreamView over a caller-owned record span (tests, replaying a
-/// buffered chunk). The span must outlive the view.
-class SpanUpdateView final : public UpdateStreamView {
- public:
-  explicit SpanUpdateView(std::span<const UpdateRecord> records)
-      : records_(records) {}
-
-  std::span<const UpdateRecord> next_chunk() override {
-    if (served_) return {};
-    served_ = true;
-    return records_;
-  }
-
- private:
-  std::span<const UpdateRecord> records_;
-  bool served_ = false;
-};
-
 }  // namespace bgpatoms::bgp

@@ -185,9 +185,7 @@ AnalysisResult analyze(bgp::SnapshotView& snapshots,
     if (config.with_updates && updates != nullptr) {
       OBS_SPAN("analyze.update_corr");
       // One drain of the update cursor feeds both consumers, chunk by
-      // chunk. Without `incremental` this loop is exactly the streamed
-      // correlate_updates() overload, so the correlation output (and the
-      // backend work counters) are unchanged.
+      // chunk; the correlator's result is independent of the chunking.
       UpdateCorrelator corr(out.reference_atoms(), config.update_max_k);
       std::optional<IncrementalAtoms> inc;
       if (config.incremental) {

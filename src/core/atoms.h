@@ -63,10 +63,10 @@ void check_packing_limits(std::size_t vp_count, std::size_t path_count);
 /// distinguishable from absence, exactly as the CSR signatures did.
 ///
 /// Rows are contiguous, so row hashing is a linear scan and equality is
-/// one memcmp; columns have fixed stride, so the planned incremental
-/// maintenance (ROADMAP item 2) can rehash a single VP's column in
-/// isolation. Filling parallelizes across VPs: each VP writes its own
-/// column, which makes the fill race-free without locks.
+/// one memcmp; columns have fixed stride, so incremental maintenance
+/// (core::IncrementalAtoms) rewrites a single cell in place. Filling
+/// parallelizes across VPs: each VP writes its own column, which makes
+/// the fill race-free without locks.
 class AtomSignatureMatrix {
  public:
   static constexpr std::uint32_t kAbsent = 0;
@@ -160,11 +160,11 @@ struct AtomSet {
 /// Membership index over an AtomSet's atom compositions (their sorted
 /// member-prefix-id sets): hash-bucketed with exact verification. This is
 /// the one composition-lookup substrate — the stability (CAM) and splits
-/// (present-at-t0) kernels and the query layer's AtomIndex all resolve
-/// "is this exact prefix set an atom here?" through it instead of each
-/// carrying its own set_hash + rescan loop. Compositions are keyed by
-/// PrefixId, so lookups are only meaningful against sets drawn from the
-/// same prefix pool; the referenced AtomSet must outlive the index.
+/// (present-at-t0) kernels both resolve "is this exact prefix set an atom
+/// here?" through it instead of each carrying its own set_hash + rescan
+/// loop. Compositions are keyed by PrefixId, so lookups are only
+/// meaningful against sets drawn from the same prefix pool; the
+/// referenced AtomSet must outlive the index.
 class AtomCompositions {
  public:
   static constexpr std::uint32_t kNone = UINT32_MAX;

@@ -249,13 +249,6 @@ void IncrementalAtoms::flush() {
   OBS_COUNT_N("atoms.incr.merges", merges);
 }
 
-std::vector<std::uint32_t> IncrementalAtoms::regroup() {
-  std::vector<std::uint32_t> rows = dirty_rows_;
-  std::sort(rows.begin(), rows.end());
-  flush();
-  return rows;
-}
-
 AtomSet IncrementalAtoms::atoms() {
   flush();
   OBS_SPAN("atoms.incr.materialize");

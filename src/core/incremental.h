@@ -1,4 +1,4 @@
-// Incremental atom maintenance from live update streams (ROADMAP item 2).
+// Incremental atom maintenance from live update streams.
 //
 // IncrementalAtoms keeps the atom partition of one sanitized snapshot up
 // to date while BGP update records stream past, without recomputing from
@@ -6,8 +6,8 @@
 // AtomSignatureMatrix (fixed column stride — the substrate PR 6 built for
 // exactly this), and only the touched rows are rehashed and regrouped.
 // On a mostly-stable stream that makes a snapshot boundary O(changes)
-// instead of O(table), which is what turns `bga_atoms --trend` and the
-// planned bga_serve refresh path into streaming consumers.
+// instead of O(table), which is what turns `bga_atoms --trend` (through
+// core::analyze's `incremental` follow) into a streaming consumer.
 //
 // Determinism contract (the same one both batch kernels obey): groups are
 // row-equality classes ordered by their minimum prefix index. apply() and
@@ -112,40 +112,6 @@ class IncrementalAtoms {
   const Counters& counters() const { return counters_; }
   std::size_t num_prefixes() const { return matrix_.num_prefixes(); }
   std::size_t num_vps() const { return matrix_.num_vps(); }
-
-  // --- Live-index refresh hooks (query::AtomIndex::refresh) -----------
-  // Clean rows never change group id during a flush (phase 1 removes only
-  // dirty rows; surviving groups keep their slot), so a consumer that
-  // re-binds exactly the returned rows — and rebuilds the groups they
-  // left or joined — tracks the partition in O(dirty rows).
-
-  /// Flushes pending cell writes into the group structure and returns the
-  /// rows regrouped by this pass, ascending (empty when nothing was
-  /// dirty).
-  std::vector<std::uint32_t> regroup();
-
-  /// Current group id of `row`. Ids identify live equality classes only:
-  /// emptied slots are recycled, so they are not stable across flushes.
-  std::uint32_t group_of(std::uint32_t row) const { return group_of_[row]; }
-
-  /// Member rows of group `gid`, unordered.
-  std::span<const std::uint32_t> group_members(std::uint32_t gid) const {
-    return groups_[gid].members;
-  }
-
-  /// Signature row of `row`: one cell per VP (interned-path-id + 1,
-  /// 0 = absent), ids resolving through live_paths().
-  std::span<const std::uint32_t> signature_row(std::uint32_t row) const {
-    return matrix_.row(row);
-  }
-
-  /// The evolving path pool matrix cells refer to. Invalidated (grown,
-  /// never reordered) by apply().
-  const net::PathPool& live_paths() const { return *pool_; }
-
-  /// The seed snapshot: prefix universe and VP identities, fixed for the
-  /// lifetime of this object.
-  const SanitizedSnapshot& seed_snapshot() const { return *seed_; }
 
  private:
   struct Group {

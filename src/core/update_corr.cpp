@@ -158,15 +158,4 @@ UpdateCorrelation correlate_updates(
   return corr.result();
 }
 
-UpdateCorrelation correlate_updates(const AtomSet& atoms,
-                                    bgp::UpdateStreamView& updates,
-                                    std::size_t max_k) {
-  UpdateCorrelator corr(atoms, max_k);
-  for (auto chunk = updates.next_chunk(); !chunk.empty();
-       chunk = updates.next_chunk()) {
-    corr.feed(chunk);
-  }
-  return corr.result();
-}
-
 }  // namespace bgpatoms::core

@@ -11,9 +11,9 @@
 // into "all single-prefix atoms" vs "has a multi-prefix atom" (§4.2).
 //
 // The correlator is incremental: records are fed one chunk at a time, so
-// a streamed update cursor (bgp::UpdateStreamView) correlates without the
-// stream ever being materialized. Results are bit-identical for any
-// chunking of the same record sequence.
+// core::analyze correlates a streamed update cursor (bgp::UpdateStreamView)
+// without the stream ever being materialized. Results are bit-identical
+// for any chunking of the same record sequence.
 #pragma once
 
 #include <limits>
@@ -21,7 +21,7 @@
 #include <span>
 #include <vector>
 
-#include "bgp/views.h"
+#include "bgp/records.h"
 #include "core/atoms.h"
 
 namespace bgpatoms::core {
@@ -71,10 +71,5 @@ class UpdateCorrelator {
 UpdateCorrelation correlate_updates(
     const AtomSet& atoms, const std::vector<bgp::UpdateRecord>& updates,
     std::size_t max_k = 16);
-
-/// Same over a streamed cursor: drains `updates` chunk by chunk.
-UpdateCorrelation correlate_updates(const AtomSet& atoms,
-                                    bgp::UpdateStreamView& updates,
-                                    std::size_t max_k = 16);
 
 }  // namespace bgpatoms::core

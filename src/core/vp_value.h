@@ -1,4 +1,4 @@
-// VP-value scoring and greedy vantage-point selection (ROADMAP item 5).
+// VP-value scoring and greedy vantage-point selection.
 //
 // The paper computes atoms from every full-feed VP, but VP tables are
 // highly redundant: most columns of the AtomSignatureMatrix refine the

@@ -4,55 +4,32 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "core/incremental.h"
 #include "net/hash.h"
 #include "obs/obs.h"
 
 namespace bgpatoms::query {
-
-namespace {
-
-/// Origin/MOAS derivation shared with the batch finalize: first non-zero
-/// origin wins, any disagreeing non-zero origin flags a MOAS conflict.
-void derive_origin(AtomRecord& rec, const net::PathPool& pool) {
-  rec.origin = 0;
-  rec.moas = false;
-  for (const auto& [vp, path] : rec.paths) {
-    (void)vp;
-    const net::Asn o = pool.get(path).origin().value_or(0);
-    if (o == 0) continue;
-    if (rec.origin == 0) {
-      rec.origin = o;
-    } else if (rec.origin != o) {
-      rec.moas = true;
-    }
-  }
-}
-
-}  // namespace
-
-void AtomIndex::index_prefixes(const core::SanitizedSnapshot& snapshot) {
-  const std::size_t n = snapshot.prefixes.size();
-  row_id_ = snapshot.prefixes;
-  row_prefix_.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const net::Prefix& p = snapshot.prefix(snapshot.prefixes[i]);
-    row_prefix_.push_back(p);
-    trie_.insert(p, i);
-  }
-  atom_of_row_.assign(n, kNoAtom);
-  num_vps_ = snapshot.vps.size();
-  timestamp_ = snapshot.timestamp;
-}
 
 AtomIndex AtomIndex::build(const core::AtomSet& atoms) {
   OBS_SPAN("query.index.build");
   if (atoms.snapshot == nullptr) {
     throw std::invalid_argument("AtomIndex: AtomSet has no snapshot");
   }
+  const core::SanitizedSnapshot& snapshot = *atoms.snapshot;
   AtomIndex index;
-  index.index_prefixes(*atoms.snapshot);
+  const std::size_t n = snapshot.prefixes.size();
+  index.row_id_ = snapshot.prefixes;
+  index.row_prefix_.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const net::Prefix& p = snapshot.prefix(snapshot.prefixes[i]);
+    index.row_prefix_.push_back(p);
+    index.trie_.insert(p, i);
+  }
+  index.atom_of_row_.assign(n, kNoAtom);
+  index.num_vps_ = snapshot.vps.size();
+  index.timestamp_ = snapshot.timestamp;
 
-  // Slot i == atom i: every answer is the batch answer.
+  // Atom id i is the AtomSet's atom i: every answer is the batch answer.
   index.atoms_.resize(atoms.atoms.size());
   for (std::uint32_t a = 0; a < atoms.atoms.size(); ++a) {
     AtomRecord& rec = index.atoms_[a];
@@ -70,139 +47,9 @@ AtomIndex AtomIndex::build(const core::AtomSet& atoms) {
     rec.origin = atoms.atoms[a].origin;
     rec.moas = atoms.atoms[a].moas;
   }
-  index.live_atoms_ = index.atoms_.size();
-  index.slot_stamp_.assign(index.atoms_.size(), 0);
-  index.owned_paths_ = std::make_shared<net::PathPool>(atoms.paths());
-  index.paths_ = index.owned_paths_.get();
+  index.paths_ = atoms.paths();
   OBS_COUNT_N("query.index.rows", index.row_prefix_.size());
   return index;
-}
-
-AtomIndex AtomIndex::build(core::IncrementalAtoms& live) {
-  OBS_SPAN("query.index.build");
-  (void)live.regroup();  // start from a flushed partition
-  AtomIndex index;
-  index.index_prefixes(live.seed_snapshot());
-
-  // First-seen walk over rows: slots come out in canonical (min-prefix-
-  // first) order, matching the batch kernels' atom order at build time.
-  const std::size_t n = index.row_prefix_.size();
-  std::unordered_map<std::uint32_t, std::uint32_t> slot_of_group;
-  for (std::uint32_t row = 0; row < n; ++row) {
-    const std::uint32_t gid = live.group_of(row);
-    const auto [it, fresh] =
-        slot_of_group.emplace(gid, static_cast<std::uint32_t>(
-                                       index.atoms_.size()));
-    if (!fresh) continue;
-    const auto members = live.group_members(gid);
-    std::vector<std::uint32_t> rows(members.begin(), members.end());
-    std::sort(rows.begin(), rows.end());
-    for (const std::uint32_t m : rows) index.atom_of_row_[m] = it->second;
-    index.atoms_.emplace_back();
-    index.rebuild_record(it->second, std::move(rows), live);
-  }
-  index.live_atoms_ = index.atoms_.size();
-  index.slot_stamp_.assign(index.atoms_.size(), 0);
-  index.paths_ = &live.live_paths();
-  OBS_COUNT_N("query.index.rows", index.row_prefix_.size());
-  return index;
-}
-
-void AtomIndex::rebuild_record(std::uint32_t slot,
-                               std::vector<std::uint32_t> rows,
-                               const core::IncrementalAtoms& live) {
-  AtomRecord& rec = atoms_[slot];
-  rec.rows = std::move(rows);
-  rec.paths.clear();
-  const auto sig = live.signature_row(rec.rows.front());
-  for (std::uint32_t vp = 0; vp < sig.size(); ++vp) {
-    if (sig[vp] != core::AtomSignatureMatrix::kAbsent) {
-      rec.paths.emplace_back(vp, core::AtomSignatureMatrix::path_of(sig[vp]));
-    }
-  }
-  derive_origin(rec, live.live_paths());
-}
-
-std::uint32_t AtomIndex::allocate_slot() {
-  if (!free_slots_.empty()) {
-    const std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
-  }
-  const auto slot = static_cast<std::uint32_t>(atoms_.size());
-  atoms_.emplace_back();
-  slot_stamp_.push_back(0);
-  return slot;
-}
-
-void AtomIndex::refresh(core::IncrementalAtoms& live) {
-  OBS_SPAN("query.index.refresh");
-  const std::vector<std::uint32_t> rows = live.regroup();
-  if (rows.empty()) return;
-  OBS_COUNT_N("query.index.refreshed_rows", rows.size());
-
-  if (stamp_gen_ >= UINT32_MAX - 2) {  // generation wrap: reset stamps
-    std::fill(slot_stamp_.begin(), slot_stamp_.end(), 0);
-    stamp_gen_ = 0;
-  }
-  const std::uint32_t gen_old = ++stamp_gen_;
-  const std::uint32_t gen_built = ++stamp_gen_;
-
-  // Phase 1: detach the regrouped rows from their old slots.
-  std::vector<std::uint32_t> old_slots;
-  for (const std::uint32_t r : rows) {
-    const std::uint32_t s = atom_of_row_[r];
-    if (slot_stamp_[s] != gen_old) {
-      slot_stamp_[s] = gen_old;
-      old_slots.push_back(s);
-    }
-    atom_of_row_[r] = kNoAtom;
-  }
-
-  // Phase 2: rebuild every group the regrouped rows now belong to. A
-  // clean member pins the group to its existing slot (clean rows never
-  // change group across a flush); all-dirty groups get a fresh slot.
-  // `rows` is ascending, so groups are processed min-dirty-member first.
-  std::unordered_map<std::uint32_t, std::uint32_t> seen_groups;
-  for (const std::uint32_t r : rows) {
-    const std::uint32_t gid = live.group_of(r);
-    if (!seen_groups.emplace(gid, 0).second) continue;
-    const auto members = live.group_members(gid);
-    std::vector<std::uint32_t> group_rows(members.begin(), members.end());
-    std::sort(group_rows.begin(), group_rows.end());
-    std::uint32_t slot = kNoAtom;
-    for (const std::uint32_t m : group_rows) {
-      if (atom_of_row_[m] != kNoAtom) {
-        slot = atom_of_row_[m];
-        break;
-      }
-    }
-    if (slot == kNoAtom) {
-      slot = allocate_slot();
-      ++live_atoms_;
-    }
-    for (const std::uint32_t m : group_rows) atom_of_row_[m] = slot;
-    slot_stamp_[slot] = gen_built;  // a reused slot skips the remnant pass
-    rebuild_record(slot, std::move(group_rows), live);
-  }
-
-  // Phase 3: old slots not rebuilt above kept only their clean remnant
-  // (or emptied out entirely).
-  for (const std::uint32_t s : old_slots) {
-    if (slot_stamp_[s] == gen_built) continue;
-    std::vector<std::uint32_t> remnant;
-    remnant.reserve(atoms_[s].rows.size());
-    for (const std::uint32_t r : atoms_[s].rows) {
-      if (atom_of_row_[r] == s) remnant.push_back(r);
-    }
-    if (remnant.empty()) {
-      atoms_[s] = AtomRecord{};
-      free_slots_.push_back(s);
-      --live_atoms_;
-    } else if (remnant.size() != atoms_[s].rows.size()) {
-      rebuild_record(s, std::move(remnant), live);
-    }
-  }
 }
 
 std::optional<AtomIndex::Match> AtomIndex::lookup(
@@ -219,11 +66,6 @@ std::optional<AtomIndex::Match> AtomIndex::lookup(
   m.row = hit->second;
   m.atom = atom_of_row_[m.row];
   return m;
-}
-
-const AtomRecord* AtomIndex::atom(std::uint32_t id) const {
-  if (id >= atoms_.size() || atoms_[id].rows.empty()) return nullptr;
-  return &atoms_[id];
 }
 
 std::vector<net::Prefix> AtomIndex::atom_prefixes(std::uint32_t id) const {
@@ -250,16 +92,10 @@ std::uint64_t AtomIndex::composition_digest(std::uint32_t id) const {
 }
 
 std::uint64_t AtomIndex::partition_fingerprint() const {
-  const std::size_t n = atom_of_row_.size();
-  std::vector<std::uint32_t> canon(n, 0);
-  std::vector<std::uint32_t> number(atoms_.size(), kNoAtom);
-  std::uint32_t next = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::uint32_t& g = number[atom_of_row_[i]];
-    if (g == kNoAtom) g = next++;
-    canon[i] = g;
-  }
-  return hash_row32(canon.data(), n, core::kPartitionFingerprintSeed);
+  // Batch atoms are numbered in first-seen (minimum-row) order, so atom
+  // ids already are the canonical class numbers the digest hashes.
+  return hash_row32(atom_of_row_.data(), atom_of_row_.size(),
+                    core::kPartitionFingerprintSeed);
 }
 
 }  // namespace bgpatoms::query

@@ -1,7 +1,8 @@
-// Read-side atom index: the query layer's core structure (ROADMAP item 1).
+// Read-side atom index: the query layer's core structure.
 //
-// An AtomIndex turns one snapshot's atom partition into the three lookups
-// the product surface needs, without re-running any batch analysis:
+// An AtomIndex freezes one snapshot's atom partition into the three
+// lookups the product surface needs, without re-running any batch
+// analysis:
 //
 //   * longest-prefix match: address or CIDR query -> covering stored
 //     prefix -> atom id (dual-stack trie over the full /0..host range),
@@ -9,26 +10,17 @@
 //     comparable across archives whose PrefixId spaces differ),
 //   * atom id -> the per-VP shared interned AS path.
 //
-// Two construction paths share the layout. build(AtomSet) freezes a batch
-// result: atom ids equal the AtomSet's atom indices, so every answer is
-// bit-identical to the compute_atoms() product. build(IncrementalAtoms) +
-// refresh() follow a live partition: the trie (prefix universe is fixed)
-// is never rebuilt, and a refresh re-binds exactly the rows the flush
-// regrouped — O(dirty rows), the apply-into-index path. Live atom ids are
-// slot-stable between refreshes but not canonical; comparisons against
-// batch results go through memberships, paths, and fingerprints, which
-// are identical by construction.
+// Atoms are computed once per captured snapshot, so the index has one
+// builder: build(AtomSet) copies a batch result, atom ids equal the
+// AtomSet's atom indices, and every answer is bit-identical to the
+// compute_atoms() product.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <span>
-#include <string>
 #include <vector>
 
 #include "core/atoms.h"
-#include "core/incremental.h"
 #include "net/prefix_trie.h"
 
 namespace bgpatoms::query {
@@ -55,7 +47,7 @@ class AtomIndex {
   struct Match {
     net::Prefix prefix;       // the stored prefix that matched
     std::uint32_t row = 0;    // its row in the prefix table
-    std::uint32_t atom = 0;   // the atom currently holding it
+    std::uint32_t atom = 0;   // the atom holding it
   };
 
   AtomIndex() = default;
@@ -65,15 +57,6 @@ class AtomIndex {
   /// so the index outlives the AtomSet and its snapshot.
   static AtomIndex build(const core::AtomSet& atoms);
 
-  /// Binds to a live partition (flushes it first). The index follows
-  /// `live` through refresh(); `live` must outlive the index.
-  static AtomIndex build(core::IncrementalAtoms& live);
-
-  /// Re-binds the rows regrouped since the last build/refresh — the
-  /// apply-into-index path, O(dirty rows). Only valid for an index built
-  /// from the same IncrementalAtoms.
-  void refresh(core::IncrementalAtoms& live);
-
   // --- point queries ---------------------------------------------------
 
   /// Longest stored prefix covering `addr` and its atom.
@@ -82,8 +65,10 @@ class AtomIndex {
   /// Longest stored prefix covering (or equal to) `prefix` and its atom.
   std::optional<Match> lookup(const net::Prefix& prefix) const;
 
-  /// The atom record for `id`; nullptr for unknown / freed ids.
-  const AtomRecord* atom(std::uint32_t id) const;
+  /// The atom record for `id`; nullptr for unknown ids.
+  const AtomRecord* atom(std::uint32_t id) const {
+    return id < atoms_.size() ? &atoms_[id] : nullptr;
+  }
 
   /// The prefix stored at `row`.
   const net::Prefix& prefix_at(std::uint32_t row) const {
@@ -103,40 +88,28 @@ class AtomIndex {
 
   // --- partition-level queries -----------------------------------------
 
-  /// Canonical digest of the partition under the same encoding as
-  /// core::partition_fingerprint(): first-seen class numbers over rows,
-  /// hashed. Equal to the batch/incremental fingerprints by construction.
+  /// Digest of the partition under the same encoding as
+  /// core::partition_fingerprint(AtomSet), so it equals the batch and
+  /// incremental fingerprints of the same partition.
   std::uint64_t partition_fingerprint() const;
 
   std::size_t prefix_count() const { return row_prefix_.size(); }
-  /// Live atoms (freed slots excluded).
-  std::size_t atom_count() const { return live_atoms_; }
+  std::size_t atom_count() const { return atoms_.size(); }
   std::size_t vp_count() const { return num_vps_; }
   bgp::Timestamp timestamp() const { return timestamp_; }
 
   /// Pool the AtomRecord path ids resolve through.
-  const net::PathPool& paths() const { return *paths_; }
+  const net::PathPool& paths() const { return paths_; }
 
  private:
-  void index_prefixes(const core::SanitizedSnapshot& snapshot);
-  void rebuild_record(std::uint32_t slot, std::vector<std::uint32_t> rows,
-                      const core::IncrementalAtoms& live);
-  std::uint32_t allocate_slot();
-
-  net::DualPrefixTrie<std::uint32_t> trie_;  // prefix -> row (immutable)
+  net::DualPrefixTrie<std::uint32_t> trie_;  // prefix -> row
   std::vector<net::Prefix> row_prefix_;      // row -> prefix value
   std::vector<bgp::PrefixId> row_id_;        // row -> source PrefixId
-  std::vector<std::uint32_t> atom_of_row_;   // row -> atom slot
-  std::vector<AtomRecord> atoms_;            // slot -> record
-  std::vector<std::uint32_t> free_slots_;
-  std::vector<std::uint32_t> slot_stamp_;    // per-refresh scratch
-  std::uint32_t stamp_gen_ = 0;
-  std::size_t live_atoms_ = 0;
+  std::vector<std::uint32_t> atom_of_row_;   // row -> atom id
+  std::vector<AtomRecord> atoms_;            // atom id -> record
   std::size_t num_vps_ = 0;
   bgp::Timestamp timestamp_ = 0;
-  /// Owned copy (batch build) or the live object's evolving pool.
-  std::shared_ptr<const net::PathPool> owned_paths_;
-  const net::PathPool* paths_ = nullptr;
+  net::PathPool paths_;  // copy of the AtomSet's pool
 };
 
 }  // namespace bgpatoms::query

@@ -45,13 +45,6 @@ std::string campaign_cache_key(const core::CampaignConfig& c) {
   append_bits(key, c.scenario.subprefix_hijacks);
   append_bits(key, c.scenario.route_leaks);
   append_bits(key, c.scenario.rov);
-  append_bits(key, c.scenario.rov_adoption_override);
-  append_bits(key, c.scenario.roa_coverage_override);
-  append_bits(key, c.scenario.rov_adopt_waves);
-  append_bits(key, static_cast<std::uint64_t>(c.scenario.first_start));
-  append_bits(key, static_cast<std::uint64_t>(c.scenario.start_spread));
-  append_bits(key, static_cast<std::uint64_t>(c.scenario.mean_duration));
-  append_bits(key, c.scenario.leak_units_max);
   return key;
 }
 

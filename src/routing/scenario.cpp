@@ -35,9 +35,6 @@ std::vector<ScenarioIncident> schedule_incidents(const topo::Topology& topo,
                                                  const PolicySet& policies,
                                                  const ScenarioOptions& opt,
                                                  Rng& rng) {
-  constexpr bgp::Timestamp kHourS = 3600;
-  constexpr bgp::Timestamp kDayS = 24 * kHourS;
-
   std::vector<ScenarioIncident> out;
   if (!opt.any_incidents() || policies.units.empty()) return out;
 
@@ -86,13 +83,13 @@ std::vector<ScenarioIncident> schedule_incidents(const topo::Topology& topo,
     return n;
   };
   auto start_time = [&] {
-    const auto spread = static_cast<std::uint64_t>(
-        std::max<bgp::Timestamp>(1, opt.start_spread));
-    return opt.first_start + static_cast<bgp::Timestamp>(rng.next_below(spread));
+    return kIncidentFirstStart +
+           static_cast<bgp::Timestamp>(rng.next_below(
+               static_cast<std::uint64_t>(kIncidentStartSpread)));
   };
   auto lifetime = [&] {
-    const double d =
-        static_cast<double>(opt.mean_duration) * (0.5 + rng.next_double());
+    const double d = static_cast<double>(kIncidentMeanDuration) *
+                     (0.5 + rng.next_double());
     return std::max<bgp::Timestamp>(1800, static_cast<bgp::Timestamp>(d));
   };
 
@@ -124,16 +121,6 @@ std::vector<ScenarioIncident> schedule_incidents(const topo::Topology& topo,
     inc.actor = transit_ases[rng.next_below(transit_ases.size())];
     inc.start = start_time();
     inc.end = inc.start + lifetime();
-    out.push_back(std::move(inc));
-  }
-  for (int w = 0; w < opt.rov_adopt_waves; ++w) {
-    ScenarioIncident inc;
-    inc.kind = ScenarioKind::kRovAdopt;
-    inc.start = 12 * kHourS +
-                static_cast<bgp::Timestamp>(w) * (4 * kDayS) /
-                    std::max(1, opt.rov_adopt_waves) +
-                static_cast<bgp::Timestamp>(rng.next_below(2 * kHourS));
-    inc.end = 0;  // adoption does not roll back
     out.push_back(std::move(inc));
   }
 

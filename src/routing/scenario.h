@@ -1,12 +1,11 @@
 // Scenario engine: scheduled routing incidents on top of the simulator.
 //
 // A scenario is a set of bounded-lifetime incidents — origin hijacks,
-// sub-prefix hijacks, route leaks — plus ROV deployment (static era-
-// calibrated adoption and optional mid-campaign adoption waves). The
-// Simulator schedules them on a dedicated event queue with a dedicated
-// RNG stream, so a campaign with all scenarios disabled is byte-identical
-// to one that predates the scenario engine (pinned by
-// tests/test_scenario_compat.cpp).
+// sub-prefix hijacks, route leaks — plus ROV deployment (a fixed set of
+// validating ASes drawn from the era's adoption curve). The Simulator
+// schedules them on a dedicated event queue with a dedicated RNG stream,
+// so a campaign with all scenarios disabled is byte-identical to one that
+// predates the scenario engine (pinned by tests/test_scenario_compat.cpp).
 //
 // Incident mechanics (see DESIGN.md "Scenario engine & ROV"):
 //   * kOriginHijack — a second origin announces the victim unit's
@@ -19,8 +18,6 @@
 //   * kRouteLeak — a transit re-exports its learned route for selected
 //     units to providers and peers (valley violation), modeled by the
 //     Propagator's leak pass.
-//   * kRovAdopt — a precomputed batch of ASes turns on ROV validation
-//     (permanent; no resolution).
 #pragma once
 
 #include <cstdint>
@@ -35,33 +32,28 @@
 
 namespace bgpatoms::routing {
 
+/// Earliest incident start (sim-relative seconds) and the window over
+/// which starts spread; incidents resolve after roughly
+/// kIncidentMeanDuration (0.5x-1.5x), always inside a one-week campaign.
+inline constexpr bgp::Timestamp kIncidentFirstStart = 2 * 3600;
+inline constexpr bgp::Timestamp kIncidentStartSpread = 4 * 3600;
+inline constexpr bgp::Timestamp kIncidentMeanDuration = 30 * 3600;
+
+/// Route leak blast radius: at most this many units re-routed per leak.
+inline constexpr std::size_t kLeakUnitsMax = 48;
+
 struct ScenarioOptions {
   /// Number of incidents of each kind scheduled over the campaign.
   int origin_hijacks = 0;
   int subprefix_hijacks = 0;
   int route_leaks = 0;
 
-  /// Enables ROV: per-AS validation seeded from the era's rov_adoption /
-  /// roa_coverage curves (or the overrides below when >= 0).
+  /// Enables ROV: per-AS validation and ROAs seeded from the era's
+  /// rov_adoption / roa_coverage curves (topo::EraParams).
   bool rov = false;
-  double rov_adoption_override = -1.0;
-  double roa_coverage_override = -1.0;
-  /// Mid-campaign kRovAdopt waves lifting adoption further (requires rov).
-  int rov_adopt_waves = 0;
-
-  /// Earliest incident start (sim-relative seconds) and the window over
-  /// which starts spread; incidents resolve after roughly mean_duration
-  /// (0.5x-1.5x), always inside a one-week campaign.
-  bgp::Timestamp first_start = 2 * 3600;
-  bgp::Timestamp start_spread = 4 * 3600;
-  bgp::Timestamp mean_duration = 30 * 3600;
-
-  /// Route leak blast radius: at most this many units re-routed per leak.
-  int leak_units_max = 48;
 
   bool any_incidents() const {
-    return origin_hijacks > 0 || subprefix_hijacks > 0 || route_leaks > 0 ||
-           rov_adopt_waves > 0;
+    return origin_hijacks > 0 || subprefix_hijacks > 0 || route_leaks > 0;
   }
   bool enabled() const { return rov || any_incidents(); }
 };
@@ -70,23 +62,19 @@ enum class ScenarioKind : std::uint8_t {
   kOriginHijack = 0,
   kSubPrefixHijack = 1,
   kRouteLeak = 2,
-  kRovAdopt = 3,
 };
 
 /// One scheduled incident; the Simulator's incident log entry.
 struct ScenarioIncident {
   ScenarioKind kind = ScenarioKind::kOriginHijack;
   bgp::Timestamp start = 0;
-  bgp::Timestamp end = 0;  // 0 = permanent (kRovAdopt)
+  bgp::Timestamp end = 0;
   /// Hijacks: the unit whose prefixes are contested.
   UnitId victim_unit = UINT32_MAX;
   /// Hijacker origin AS or leaking transit.
   topo::NodeId actor = topo::kNoNode;
   /// Sub-prefix hijack: the attacker's pre-created unit.
   UnitId overlay_unit = UINT32_MAX;
-  /// kRovAdopt: ASes flipped to validating (precomputed, so applying and
-  /// reverting the wave is exact).
-  std::vector<topo::NodeId> adopter_nodes;
   /// Route leak: units re-routed by this leak (filled when applied).
   std::vector<UnitId> affected;
 };
@@ -95,8 +83,7 @@ struct ScenarioIncident {
 /// generated topology + policy set: picks victims (visible multi-prefix
 /// units), attackers (edge/content ASes), leakers (transit ASes), start
 /// times and bounded lifetimes. Sub-prefix overlay units are created by
-/// the Simulator afterwards. kRovAdopt waves are scheduled with empty
-/// adopter lists; the Simulator fills them against its RovState.
+/// the Simulator afterwards.
 std::vector<ScenarioIncident> schedule_incidents(const topo::Topology& topo,
                                                  const PolicySet& policies,
                                                  const ScenarioOptions& opt,

@@ -744,13 +744,6 @@ void Simulator::init_scenarios() {
   incidents_ =
       schedule_incidents(topo_, policies_, opt_.scenario, scenario_rng_);
 
-  // ROV adoption waves only make sense with ROV on.
-  if (!rov_active_) {
-    std::erase_if(incidents_, [](const ScenarioIncident& inc) {
-      return inc.kind == ScenarioKind::kRovAdopt;
-    });
-  }
-
   // Sub-prefix overlay units are created up front so prefix and unit ids
   // stay stable for the whole campaign; incidents whose candidate
   // more-specifics all collide with existing prefixes are dropped.
@@ -762,30 +755,10 @@ void Simulator::init_scenarios() {
            !create_overlay_unit(inc, existing);
   });
 
-  // Precompute each adoption wave's ASes (against the flags as they will
-  // be when the wave fires) so applying and reverting a wave is exact.
-  if (rov_active_) {
-    std::vector<char> pending(topo_.graph.size(), 0);
-    for (NodeId v = 0; v < topo_.graph.size(); ++v) {
-      pending[v] = rov_.validating(v) ? 1 : 0;
-    }
-    for (auto& inc : incidents_) {
-      if (inc.kind != ScenarioKind::kRovAdopt) continue;
-      for (NodeId v = 0; v < topo_.graph.size(); ++v) {
-        if (!pending[v] && scenario_rng_.chance(0.07)) {
-          pending[v] = 1;
-          inc.adopter_nodes.push_back(v);
-        }
-      }
-    }
-  }
-
   std::vector<ScenarioTransition> transitions;
   for (std::uint32_t i = 0; i < incidents_.size(); ++i) {
     transitions.push_back({incidents_[i].start, i, /*starts=*/true});
-    if (incidents_[i].end > 0) {
-      transitions.push_back({incidents_[i].end, i, /*starts=*/false});
-    }
+    transitions.push_back({incidents_[i].end, i, /*starts=*/false});
   }
   std::stable_sort(transitions.begin(), transitions.end(),
                    [](const ScenarioTransition& a, const ScenarioTransition& b) {
@@ -796,16 +769,10 @@ void Simulator::init_scenarios() {
 
 void Simulator::seed_rov() {
   const auto& p = topo_.params;
-  const double adoption = opt_.scenario.rov_adoption_override >= 0
-                              ? opt_.scenario.rov_adoption_override
-                              : p.rov_adoption;
-  const double coverage = opt_.scenario.roa_coverage_override >= 0
-                              ? opt_.scenario.roa_coverage_override
-                              : p.roa_coverage;
-  rov_.seed_adoption(topo_.graph, adoption, scenario_rng_);
-  if (coverage <= 0.0) return;
+  rov_.seed_adoption(topo_.graph, p.rov_adoption, scenario_rng_);
+  if (p.roa_coverage <= 0.0) return;
   for (const auto& unit : policies_.units) {
-    if (!scenario_rng_.chance(coverage)) continue;
+    if (!scenario_rng_.chance(p.roa_coverage)) continue;
     unit_roa_covered_[unit.id] = 1;
     // A misconfigured ROA (stale origin / too-tight maxLength) makes the
     // unit's own legitimate announcement invalid.
@@ -873,10 +840,9 @@ std::uint64_t Simulator::scenario_unit_key(UnitId u) const {
 
 std::vector<UnitId> Simulator::leak_affected_units(NodeId leaker) const {
   const net::Asn leaker_asn = topo_.graph.node(leaker).asn;
-  const auto cap = static_cast<std::size_t>(
-      std::max(1, opt_.scenario.leak_units_max));
   std::vector<UnitId> out;
-  for (UnitId u = 0; u < policies_.units.size() && out.size() < cap; ++u) {
+  for (UnitId u = 0; u < policies_.units.size() && out.size() < kLeakUnitsMax;
+       ++u) {
     if (policies_.units[u].prefixes.empty() || unit_suppressed_[u]) continue;
     if (policies_.units[u].origin == leaker) continue;
     for (const auto& entry : unit_paths_[u]) {
@@ -922,17 +888,6 @@ std::vector<UnitId> Simulator::apply_transition(const ScenarioTransition& tr,
         for (UnitId u : inc.affected) unit_leaker_.erase(u);
       }
       touched = inc.affected;
-      break;
-    case ScenarioKind::kRovAdopt:
-      for (NodeId v : inc.adopter_nodes) rov_.set_validating(v, starting);
-      // Adoption only moves routes whose computation sees an invalid
-      // source: misconfigured units and active hijacks.
-      for (UnitId u = 0; u < policies_.units.size(); ++u) {
-        if (unit_rov_invalid_[u] || hijack_origin_.count(u) != 0 ||
-            unit_leaker_.count(u) != 0) {
-          touched.push_back(u);
-        }
-      }
       break;
   }
   for (UnitId u : touched) unit_dirty_[u] = 1;

@@ -11,14 +11,6 @@ namespace {
 
 using test::DatasetBuilder;
 
-const Atom* atom_containing(const AtomSet& atoms,
-                            const SanitizedSnapshot& snap,
-                            const std::string& prefix) {
-  const auto id = snap.prefix_pool->find(*net::Prefix::parse(prefix));
-  const auto it = atoms.atom_of.find(id);
-  return it == atoms.atom_of.end() ? nullptr : &atoms.atoms[it->second];
-}
-
 TEST(Atoms, SamePathsGroupTogether) {
   DatasetBuilder b;
   b.peer(100).route("10.0.0.0/16", "100 1").route("10.1.0.0/16", "100 1");

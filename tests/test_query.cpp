@@ -1,15 +1,14 @@
 // Query layer: AtomIndex longest-prefix-match resolution pinned against a
 // linear-scan oracle (default route /0, host routes /32 and /128, IPv6,
 // misses, aliased network addresses), batch-build identity vs
-// compute_atoms(), the O(dirty rows) refresh path vs a full recompute,
-// and Timeline history / partition equivalence across snapshots.
+// compute_atoms(), and Timeline history / partition equivalence across
+// snapshots.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -46,33 +45,6 @@ std::optional<net::Prefix> oracle_match(const core::SanitizedSnapshot& snap,
     if (p.contains(a) && (!best || p.length() > best->length())) best = p;
   }
   return best;
-}
-
-/// The index's partition as a canonical set-of-sets of PrefixIds.
-std::vector<std::vector<bgp::PrefixId>> index_partition(const AtomIndex& idx) {
-  std::map<std::uint32_t, std::vector<bgp::PrefixId>> by_atom;
-  for (std::uint32_t row = 0;
-       row < static_cast<std::uint32_t>(idx.prefix_count()); ++row) {
-    const auto m = idx.lookup(idx.prefix_at(row));
-    EXPECT_TRUE(m.has_value());
-    EXPECT_EQ(m->prefix, idx.prefix_at(row));  // exact match resolves to self
-    by_atom[m->atom].push_back(idx.prefix_id_at(row));
-  }
-  std::vector<std::vector<bgp::PrefixId>> out;
-  for (auto& [atom, members] : by_atom) {
-    std::sort(members.begin(), members.end());
-    out.push_back(std::move(members));
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<std::vector<bgp::PrefixId>> batch_partition(
-    const core::AtomSet& atoms) {
-  std::vector<std::vector<bgp::PrefixId>> out;
-  for (const auto& atom : atoms.atoms) out.push_back(atom.prefixes);
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 /// member-set -> the per-VP path strings, for cross-representation
@@ -219,9 +191,8 @@ TEST(AtomIndex, IPv6HostAndDefaultRoutes) {
   }
 }
 
-/// Three peers, four prefixes (one seed atom of size 2), plus an update
-/// tail that splits, churns, withdraws and re-merges.
-DatasetBuilder churn_dataset() {
+/// Three peers, four prefixes in three atoms (one of size 2).
+DatasetBuilder three_peer_dataset() {
   DatasetBuilder b;
   b.peer(100)
       .route("10.0.0.0/16", "100 1")
@@ -238,17 +209,11 @@ DatasetBuilder churn_dataset() {
       .route("10.1.0.0/16", "300 1")
       .route("10.2.0.0/16", "300 2")
       .route("10.3.0.0/16", "300 1");
-  b.update(10, 0, "100 9 1", {"10.0.0.0/16"});  // split the size-2 atom
-  b.update(20, 1, "200 2 2", {"10.2.0.0/16"});
-  b.update(30, 2, "", {}, {"10.3.0.0/16"});
-  b.update(50, 2, "300 4 1", {"10.3.0.0/16"});
-  b.update(70, 0, "100 1", {"10.0.0.0/16"});  // re-merge the split pair
-  b.update(80, 2, "300 2", {"10.2.0.0/16"});
   return b;
 }
 
 TEST(AtomIndex, BatchBuildIsBitIdenticalToComputeAtoms) {
-  DatasetBuilder b = churn_dataset();
+  DatasetBuilder b = three_peer_dataset();
   const auto snap = sanitize(b.dataset(), 0, test::lax_config());
   const core::AtomSet atoms = core::compute_atoms(snap);
   const AtomIndex idx = AtomIndex::build(atoms);
@@ -277,37 +242,6 @@ TEST(AtomIndex, BatchBuildIsBitIdenticalToComputeAtoms) {
   EXPECT_EQ(idx.atom(static_cast<std::uint32_t>(atoms.atoms.size())), nullptr);
   EXPECT_EQ(idx.atom(AtomIndex::kNoAtom), nullptr);
   EXPECT_EQ(index_paths(idx), batch_paths(atoms));
-}
-
-TEST(AtomIndex, RefreshFollowsLiveUpdatesInDirtyRowTime) {
-  DatasetBuilder b = churn_dataset();
-  const auto& ds = b.dataset();
-  const auto snap = sanitize(ds, 0, test::lax_config());
-
-  core::IncrementalAtoms live(snap, ds.paths);
-  AtomIndex idx = AtomIndex::build(live);
-
-  const std::span<const bgp::UpdateRecord> updates(ds.updates);
-  for (std::size_t off = 0; off < updates.size(); off += 2) {
-    live.apply(updates.subspan(off, std::min<std::size_t>(
-                                        2, updates.size() - off)));
-    idx.refresh(live);
-
-    // The refreshed index must carry the exact recomputed partition.
-    const auto rebuilt = live.rebuild_snapshot();
-    const core::AtomSet batch = core::compute_atoms(rebuilt);
-    EXPECT_EQ(idx.partition_fingerprint(),
-              core::partition_fingerprint(batch));
-    EXPECT_EQ(index_partition(idx), batch_partition(batch));
-    EXPECT_EQ(index_paths(idx), batch_paths(batch));
-    EXPECT_EQ(idx.atom_count(), batch.atoms.size());
-
-    // And be content-identical to throwing the index away and
-    // rebuilding from the live partition.
-    const AtomIndex fresh = AtomIndex::build(live);
-    EXPECT_EQ(index_partition(idx), index_partition(fresh));
-    EXPECT_EQ(idx.partition_fingerprint(), fresh.partition_fingerprint());
-  }
 }
 
 /// Two captures: at t=100 the {10.0, 10.1} atom splits at peer 100 while

@@ -169,7 +169,7 @@ TEST(Json, IntegersAboveTwoPow53SerializeDigitExact) {
 
   // Full round trip: serialize -> parse -> equal, for values where the
   // double path would already have drifted.
-  for (const report::json::Value v :
+  for (const report::json::Value& v :
        {report::json::Value(big), report::json::Value(UINT64_MAX),
         report::json::Value(INT64_MIN)}) {
     EXPECT_EQ(report::json::Value::parse(v.serialize()), v);

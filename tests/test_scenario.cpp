@@ -267,8 +267,8 @@ TEST(Scenario, SimulatorIncidentsScheduleInsideTheCampaignWindow) {
   auto sim = make_sim(opt);
   ASSERT_FALSE(sim.incidents().empty());
   for (const auto& inc : sim.incidents()) {
-    EXPECT_GE(inc.start, opt.scenario.first_start);
-    EXPECT_LT(inc.start, opt.scenario.first_start + opt.scenario.start_spread);
+    EXPECT_GE(inc.start, kIncidentFirstStart);
+    EXPECT_LT(inc.start, kIncidentFirstStart + kIncidentStartSpread);
     EXPECT_GT(inc.end, 8 * kHour) << "still active at the 8h capture";
     EXPECT_LT(inc.end, kWeek) << "resolved before the 1w capture";
     if (inc.kind == ScenarioKind::kSubPrefixHijack) {
@@ -388,8 +388,7 @@ TEST(Scenario, RouteLeakPicksAffectedUnitsAndReroutesThem) {
   std::size_t affected_total = 0, moved = 0;
   for (const auto& inc : sim.incidents()) {
     affected_total += inc.affected.size();
-    EXPECT_LE(inc.affected.size(),
-              static_cast<std::size_t>(opt.scenario.leak_units_max));
+    EXPECT_LE(inc.affected.size(), kLeakUnitsMax);
     const net::Asn leaker = sim.topology().graph.node(inc.actor).asn;
     for (UnitId u : inc.affected) {
       // A leaked route pulls some session's best path through the leaker
@@ -415,11 +414,15 @@ TEST(Scenario, RouteLeakPicksAffectedUnitsAndReroutesThem) {
 }
 
 TEST(Scenario, RovDeploymentDropsInvalidRoutesAtT0) {
+  // generate_topology never reads the ROV curves: raising them changes
+  // only what the simulator's ROV seeding draws.
+  topo::EraParams era = topo::era_params_v4(2024.75, 0.02);
+  era.rov_adoption = 0.5;
+  era.roa_coverage = 0.5;
   SimOptions opt;
+  opt.seed = 5;
   opt.scenario.rov = true;
-  opt.scenario.rov_adoption_override = 0.5;
-  opt.scenario.roa_coverage_override = 0.5;
-  auto sim = make_sim(opt, 5, 2024.75);
+  Simulator sim(topo::generate_topology(era, 5), opt);
   auto base = make_sim(SimOptions{}, 5, 2024.75);
   EXPECT_GT(sim.rov().validating_count(), 0u);
   EXPECT_GT(sim.rov().roas().size(), 0u);
@@ -435,29 +438,6 @@ TEST(Scenario, RovDeploymentDropsInvalidRoutesAtT0) {
   const std::size_t without = records(base.dataset().snapshots[0]);
   EXPECT_LT(with_rov, without)
       << "validating sessions drop ROV-invalid (misconfigured) units";
-}
-
-TEST(Scenario, RovAdoptionWavesLiftValidatingCount) {
-  SimOptions opt;
-  opt.weekly_churn = false;
-  opt.scenario.rov = true;
-  opt.scenario.rov_adoption_override = 0.1;
-  opt.scenario.roa_coverage_override = 0.4;
-  opt.scenario.rov_adopt_waves = 2;
-  auto sim = make_sim(opt, 5, 2024.75);
-
-  std::size_t waves = 0;
-  for (const auto& inc : sim.incidents()) {
-    if (inc.kind != ScenarioKind::kRovAdopt) continue;
-    ++waves;
-    EXPECT_FALSE(inc.adopter_nodes.empty());
-    EXPECT_EQ(inc.end, 0u) << "adoption does not roll back";
-  }
-  ASSERT_EQ(waves, 2u);
-
-  const std::size_t before = sim.rov().validating_count();
-  sim.advance_to(kWeek);
-  EXPECT_GT(sim.rov().validating_count(), before);
 }
 
 TEST(Scenario, EmitUpdatesPreviewsIncidentsWithoutMutatingState) {
