@@ -2,7 +2,6 @@
 
 #include <array>
 #include <charconv>
-#include <cstdio>
 
 namespace bgpatoms::net {
 
@@ -106,13 +105,18 @@ std::optional<IpAddress> IpAddress::parse(std::string_view text) {
   return parse_v4(text);
 }
 
-std::string IpAddress::to_string() const {
-  char buf[64];
+void IpAddress::append_to(std::string& out) const {
+  char buf[40];  // eight 4-digit groups and seven colons at most
+  char* p = buf;
+  char* const end = buf + sizeof buf;
   if (family_ == Family::kIPv4) {
     const auto v = v4_value();
-    std::snprintf(buf, sizeof buf, "%u.%u.%u.%u", (v >> 24) & 0xff,
-                  (v >> 16) & 0xff, (v >> 8) & 0xff, v & 0xff);
-    return buf;
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      p = std::to_chars(p, end, (v >> shift) & 0xff).ptr;
+      if (shift > 0) *p++ = '.';
+    }
+    out.append(buf, p);
+    return;
   }
   std::array<std::uint16_t, 8> groups;
   for (int k = 0; k < 4; ++k)
@@ -137,19 +141,22 @@ std::string IpAddress::to_string() const {
   }
   if (best_len < 2) best_start = -1;
 
-  std::string out;
   for (int k = 0; k < 8;) {
     if (k == best_start) {
-      out += "::";  // the preceding group (if any) did not emit its ':'
+      *p++ = ':';  // the preceding group (if any) did not emit its ':'
+      *p++ = ':';
       k += best_len;
-      if (k == 8) break;
       continue;
     }
-    std::snprintf(buf, sizeof buf, "%x", groups[k]);
-    out += buf;
-    if (++k < 8 && k != best_start) out += ':';
+    p = std::to_chars(p, end, groups[k], 16).ptr;
+    if (++k < 8 && k != best_start) *p++ = ':';
   }
-  if (out.empty()) out = "::";
+  out.append(buf, p);
+}
+
+std::string IpAddress::to_string() const {
+  std::string out;
+  append_to(out);
   return out;
 }
 

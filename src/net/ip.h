@@ -76,6 +76,9 @@ class IpAddress {
     return IpAddress(family_, hi_, lo_ & mask);
   }
 
+  /// Appends the textual form: dotted quad, or lowercase hex groups with
+  /// the first longest run of two or more zero groups compressed to "::".
+  void append_to(std::string& out) const;
   std::string to_string() const;
 
   friend constexpr auto operator<=>(const IpAddress&,

@@ -19,8 +19,17 @@ std::optional<Prefix> Prefix::parse(std::string_view text) {
   return Prefix(*addr, len);
 }
 
+void Prefix::append_to(std::string& out) const {
+  addr_.append_to(out);
+  char buf[4];  // lengths are at most 128
+  out += '/';
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, length_).ptr);
+}
+
 std::string Prefix::to_string() const {
-  return addr_.to_string() + "/" + std::to_string(length_);
+  std::string out;
+  append_to(out);
+  return out;
 }
 
 std::optional<Prefix> parse_prefix(std::string_view text) {

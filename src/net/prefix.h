@@ -56,6 +56,8 @@ class Prefix {
     return ip.family() == family() && ip.masked(length_) == addr_;
   }
 
+  /// Appends "address/length" (IpAddress::append_to for the address).
+  void append_to(std::string& out) const;
   std::string to_string() const;
 
   std::uint64_t hash() const {

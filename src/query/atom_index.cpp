@@ -47,7 +47,19 @@ AtomIndex AtomIndex::build(const core::AtomSet& atoms) {
     rec.origin = atoms.atoms[a].origin;
     rec.moas = atoms.atoms[a].moas;
   }
-  index.paths_ = atoms.paths();
+  const net::PathPool& pool = atoms.paths();
+  index.path_begin_.reserve(pool.size() + 1);
+  for (bgp::PathId id = 0; id < pool.size(); ++id) {
+    index.path_begin_.push_back(
+        static_cast<std::uint32_t>(index.path_text_.size()));
+    index.path_text_ += pool.get(id).to_string();
+    if (index.path_text_.size() > UINT32_MAX) {
+      throw std::length_error("AtomIndex: path text exceeds 4 GiB");
+    }
+  }
+  index.path_begin_.push_back(
+      static_cast<std::uint32_t>(index.path_text_.size()));
+  index.path_text_.shrink_to_fit();
   OBS_COUNT_N("query.index.rows", index.row_prefix_.size());
   return index;
 }

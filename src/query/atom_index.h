@@ -8,16 +8,21 @@
 //     prefix -> atom id (dual-stack trie over the full /0..host range),
 //   * atom id -> member prefixes (as net::Prefix values, so answers are
 //     comparable across archives whose PrefixId spaces differ),
-//   * atom id -> the per-VP shared interned AS path.
+//   * atom id -> the per-VP shared AS path, as text: build() renders every
+//     path of the snapshot's pool once, in id order, into one arena with
+//     an offset table, so a reply copies a path instead of walking it.
 //
 // Atoms are computed once per captured snapshot, so the index has one
 // builder: build(AtomSet) copies a batch result, atom ids equal the
 // AtomSet's atom indices, and every answer is bit-identical to the
-// compute_atoms() product.
+// compute_atoms() product. The index keeps no pointer into the AtomSet
+// or its snapshot and never changes once built.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/atoms.h"
@@ -29,7 +34,7 @@ namespace bgpatoms::query {
 struct AtomRecord {
   /// Member rows (positions in the index's prefix table), ascending.
   std::vector<std::uint32_t> rows;
-  /// Per-VP observed path: (vp, path id in paths()), ascending by vp.
+  /// Per-VP observed path: (vp, path id for path_text()), ascending by vp.
   /// VPs not listed do not see the atom.
   std::vector<std::pair<std::uint32_t, bgp::PathId>> paths;
   /// Origin AS (0 if indeterminate) and MOAS-conflict flag.
@@ -53,8 +58,8 @@ class AtomIndex {
   AtomIndex() = default;
 
   /// Freezes a batch result. Atom ids == `atoms` indices; member prefixes
-  /// resolve through the snapshot's prefix pool; the path pool is copied,
-  /// so the index outlives the AtomSet and its snapshot.
+  /// resolve through the snapshot's prefix pool and paths are rendered to
+  /// text, so the index outlives the AtomSet and its snapshot.
   static AtomIndex build(const core::AtomSet& atoms);
 
   // --- point queries ---------------------------------------------------
@@ -98,8 +103,11 @@ class AtomIndex {
   std::size_t vp_count() const { return num_vps_; }
   bgp::Timestamp timestamp() const { return timestamp_; }
 
-  /// Pool the AtomRecord path ids resolve through.
-  const net::PathPool& paths() const { return paths_; }
+  /// AsPath::to_string() of the AtomRecord path id `id`.
+  std::string_view path_text(bgp::PathId id) const {
+    return std::string_view(path_text_).substr(
+        path_begin_[id], path_begin_[id + 1] - path_begin_[id]);
+  }
 
  private:
   net::DualPrefixTrie<std::uint32_t> trie_;  // prefix -> row
@@ -109,7 +117,8 @@ class AtomIndex {
   std::vector<AtomRecord> atoms_;            // atom id -> record
   std::size_t num_vps_ = 0;
   bgp::Timestamp timestamp_ = 0;
-  net::PathPool paths_;  // copy of the AtomSet's pool
+  std::string path_text_;                  // every path's text, in id order
+  std::vector<std::uint32_t> path_begin_;  // id -> offset; one past the end
 };
 
 }  // namespace bgpatoms::query

@@ -1,5 +1,6 @@
 #include "query/serve.h"
 
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -11,13 +12,8 @@ namespace bgpatoms::query {
 
 namespace {
 
-using report::json::Array;
-using report::json::Object;
 using report::json::Value;
-
-Value error_reply(std::string message) {
-  return Value(Object{{"ok", Value(false)}, {"error", Value(std::move(message))}});
-}
+using report::json::Writer;
 
 /// Required string field or throws (caught into an error reply).
 const std::string& str_field(const Value& req, const char* key) {
@@ -34,6 +30,10 @@ std::size_t snapshot_field(const Value& req, const Timeline& timeline) {
   const Value* v = req.find("snapshot");
   if (v == nullptr) return timeline.size() - 1;
   if (!v->is_integer()) throw std::runtime_error("\"snapshot\" not an integer");
+  if (v->as_number() < 0) {
+    throw std::runtime_error("snapshot " + std::to_string(v->as_int64()) +
+                             " is negative");
+  }
   const std::uint64_t i = v->as_uint64();
   if (i >= timeline.size()) {
     throw std::runtime_error("snapshot " + std::to_string(i) +
@@ -49,116 +49,161 @@ net::Prefix parse_query(const std::string& text) {
   return *p;
 }
 
-/// The per-snapshot resolution of one point query, shared by lookup and
-/// equiv: matched prefix + full atom record, or found:false.
-Object resolve(const AtomIndex& index, const net::Prefix& query,
-               bool with_members) {
-  Object out;
-  out.emplace_back("query", Value(query.to_string()));
-  const auto hit = index.lookup(query);
-  if (!hit) {
-    out.emplace_back("found", Value(false));
-    return out;
-  }
-  const AtomRecord* rec = index.atom(hit->atom);
-  out.emplace_back("found", Value(true));
-  out.emplace_back("matched", Value(hit->prefix.to_string()));
-  out.emplace_back("atom", Value(static_cast<std::uint64_t>(hit->atom)));
-  out.emplace_back("size", Value(static_cast<std::uint64_t>(rec->size())));
-  out.emplace_back("origin", Value(static_cast<std::uint64_t>(rec->origin)));
-  out.emplace_back("moas", Value(rec->moas));
-  if (with_members) {
-    Array members;
-    members.reserve(rec->rows.size());
-    for (const std::uint32_t row : rec->rows) {
-      members.emplace_back(index.prefix_at(row).to_string());
-    }
-    out.emplace_back("prefixes", Value(std::move(members)));
-    Array paths;
-    paths.reserve(rec->paths.size());
-    for (const auto& [vp, path] : rec->paths) {
-      paths.emplace_back(Object{
-          {"vp", Value(static_cast<std::uint64_t>(vp))},
-          {"path", Value(index.paths().get(path).to_string())}});
-    }
-    out.emplace_back("paths", Value(std::move(paths)));
-  }
-  return out;
+// Every handler below validates its whole request before its first write,
+// so a thrown error never follows part of an answer.
+
+void write_prefix(Writer& w, const net::Prefix& p) {
+  w.rendered_string([&](std::string& out) { p.append_to(out); });
 }
 
-Value handle_lookup(const Timeline& timeline, const Value& req) {
+/// The per-snapshot resolution of one point query, shared by lookup and
+/// equiv: matched prefix + full atom record, or found:false. Writes the
+/// members of the object the caller has open.
+void write_resolution(Writer& w, const AtomIndex& index,
+                      const net::Prefix& query,
+                      const std::optional<AtomIndex::Match>& hit,
+                      bool with_members) {
+  w.key("query");
+  write_prefix(w, query);
+  w.member("found", hit.has_value());
+  if (!hit) return;
+  const AtomRecord* rec = index.atom(hit->atom);
+  w.key("matched");
+  write_prefix(w, hit->prefix);
+  w.member("atom", std::uint64_t{hit->atom});
+  w.member("size", std::uint64_t{rec->size()});
+  w.member("origin", std::uint64_t{rec->origin});
+  w.member("moas", rec->moas);
+  if (!with_members) return;
+  w.key("prefixes");
+  w.begin_array();
+  for (const std::uint32_t row : rec->rows) {
+    write_prefix(w, index.prefix_at(row));
+  }
+  w.end_array();
+  w.key("paths");
+  w.begin_array();
+  for (const auto& [vp, path] : rec->paths) {
+    w.begin_object();
+    w.member("vp", std::uint64_t{vp});
+    w.key("path");
+    const std::string_view text = index.path_text(path);
+    w.rendered_string([&](std::string& out) { out += text; });
+    w.end_object();
+  }
+  w.end_array();
+}
+
+/// Opens the reply object with its "ok":true and "op" members.
+void begin_reply(Writer& w, const char* op) {
+  w.begin_object();
+  w.member("ok", true);
+  w.member("op", op);
+}
+
+void write_lookup(std::string& body, const Timeline& timeline,
+                  const Value& req) {
   const net::Prefix query = parse_query(str_field(req, "q"));
   const std::size_t snap = snapshot_field(req, timeline);
-  Object reply{{"ok", Value(true)},
-               {"op", Value("lookup")},
-               {"snapshot", Value(static_cast<std::uint64_t>(snap))},
-               {"label", Value(timeline.label(snap))}};
-  Object hit = resolve(timeline.at(snap), query, /*with_members=*/true);
-  reply.insert(reply.end(), std::make_move_iterator(hit.begin()),
-               std::make_move_iterator(hit.end()));
-  return Value(std::move(reply));
+  const AtomIndex& index = timeline.at(snap);
+  Writer w(body);
+  begin_reply(w, "lookup");
+  w.member("snapshot", std::uint64_t{snap});
+  w.member("label", timeline.label(snap));
+  write_resolution(w, index, query, index.lookup(query),
+                   /*with_members=*/true);
+  w.end_object();
 }
 
-Value handle_equiv(const Timeline& timeline, const Value& req) {
+void write_equiv(std::string& body, const Timeline& timeline,
+                 const Value& req) {
   const net::Prefix a = parse_query(str_field(req, "a"));
   const net::Prefix b = parse_query(str_field(req, "b"));
   const std::size_t snap = snapshot_field(req, timeline);
   const AtomIndex& index = timeline.at(snap);
   const auto hit_a = index.lookup(a);
   const auto hit_b = index.lookup(b);
-  const bool equivalent = hit_a && hit_b && hit_a->atom == hit_b->atom;
-  return Value(Object{
-      {"ok", Value(true)},
-      {"op", Value("equiv")},
-      {"snapshot", Value(static_cast<std::uint64_t>(snap))},
-      {"equivalent", Value(equivalent)},
-      {"a", Value(resolve(index, a, /*with_members=*/false))},
-      {"b", Value(resolve(index, b, /*with_members=*/false))}});
+  Writer w(body);
+  begin_reply(w, "equiv");
+  w.member("snapshot", std::uint64_t{snap});
+  w.member("equivalent", hit_a && hit_b && hit_a->atom == hit_b->atom);
+  w.key("a");
+  w.begin_object();
+  write_resolution(w, index, a, hit_a, /*with_members=*/false);
+  w.end_object();
+  w.key("b");
+  w.begin_object();
+  write_resolution(w, index, b, hit_b, /*with_members=*/false);
+  w.end_object();
+  w.end_object();
 }
 
-Value handle_history(const Timeline& timeline, const Value& req) {
+void write_history(std::string& body, const Timeline& timeline,
+                   const Value& req) {
   const net::Prefix query = parse_query(str_field(req, "q"));
   // History is an address-wise walk; a CIDR query asks about its first
   // address (the canonicalized network address).
   const auto entries = timeline.history(query.address());
-  Array out;
-  out.reserve(entries.size());
+  Writer w(body);
+  begin_reply(w, "history");
+  w.key("query");
+  write_prefix(w, query);
+  w.key("entries");
+  w.begin_array();
   for (const auto& e : entries) {
-    Object row{{"snapshot", Value(static_cast<std::uint64_t>(e.snapshot))},
-               {"label", Value(timeline.label(e.snapshot))},
-               {"present", Value(e.present)}};
+    w.begin_object();
+    w.member("snapshot", std::uint64_t{e.snapshot});
+    w.member("label", timeline.label(e.snapshot));
+    w.member("present", e.present);
     if (e.present) {
-      row.emplace_back("matched", Value(e.matched.to_string()));
-      row.emplace_back("atom", Value(static_cast<std::uint64_t>(e.atom)));
-      row.emplace_back("size", Value(static_cast<std::uint64_t>(e.size)));
-      row.emplace_back("origin", Value(static_cast<std::uint64_t>(e.origin)));
-      row.emplace_back("moas", Value(e.moas));
-      row.emplace_back("same_as_previous", Value(e.same_as_previous));
+      w.key("matched");
+      write_prefix(w, e.matched);
+      w.member("atom", std::uint64_t{e.atom});
+      w.member("size", std::uint64_t{e.size});
+      w.member("origin", std::uint64_t{e.origin});
+      w.member("moas", e.moas);
+      w.member("same_as_previous", e.same_as_previous);
     }
-    out.emplace_back(std::move(row));
+    w.end_object();
   }
-  return Value(Object{{"ok", Value(true)},
-                      {"op", Value("history")},
-                      {"query", Value(query.to_string())},
-                      {"entries", Value(std::move(out))}});
+  w.end_array();
+  w.end_object();
 }
 
-Value handle_stats(const Timeline& timeline) {
-  Array snaps;
-  snaps.reserve(timeline.size());
+void write_stats(std::string& body, const Timeline& timeline) {
+  Writer w(body);
+  begin_reply(w, "stats");
+  w.key("snapshots");
+  w.begin_array();
   for (std::size_t i = 0; i < timeline.size(); ++i) {
     const AtomIndex& index = timeline.at(i);
-    snaps.emplace_back(Object{
-        {"label", Value(timeline.label(i))},
-        {"timestamp", Value(static_cast<std::int64_t>(index.timestamp()))},
-        {"prefixes", Value(static_cast<std::uint64_t>(index.prefix_count()))},
-        {"atoms", Value(static_cast<std::uint64_t>(index.atom_count()))},
-        {"vps", Value(static_cast<std::uint64_t>(index.vp_count()))},
-        {"fingerprint", Value(timeline.fingerprint(i))}});
+    w.begin_object();
+    w.member("label", timeline.label(i));
+    w.member("timestamp", std::int64_t{index.timestamp()});
+    w.member("prefixes", std::uint64_t{index.prefix_count()});
+    w.member("atoms", std::uint64_t{index.atom_count()});
+    w.member("vps", std::uint64_t{index.vp_count()});
+    w.member("fingerprint", timeline.fingerprint(i));
+    w.end_object();
   }
-  return Value(Object{{"ok", Value(true)},
-                      {"op", Value("stats")},
-                      {"snapshots", Value(std::move(snaps))}});
+  w.end_array();
+  w.end_object();
+}
+
+void write_shutdown(std::string& body) {
+  Writer w(body);
+  begin_reply(w, "shutdown");
+  w.end_object();
+}
+
+/// {"ok":false,"error":...} in place of whatever `body` holds.
+void write_error(std::string& body, std::string_view message) {
+  body.clear();
+  Writer w(body);
+  w.begin_object();
+  w.member("ok", false);
+  w.member("error", message);
+  w.end_object();
 }
 
 }  // namespace
@@ -173,7 +218,6 @@ ServeState::Reply ServeState::handle(std::string_view request) const {
   const std::uint64_t t0 = obs::monotonic_ns();
   Reply reply;
   std::string op;
-  Value result;
   try {
     const Value req = Value::parse(request);
     const Value* op_field = req.find("op");
@@ -182,23 +226,22 @@ ServeState::Reply ServeState::handle(std::string_view request) const {
     }
     op = op_field->as_string();
     if (op == "lookup") {
-      result = handle_lookup(timeline_, req);
+      write_lookup(reply.body, timeline_, req);
     } else if (op == "equiv") {
-      result = handle_equiv(timeline_, req);
+      write_equiv(reply.body, timeline_, req);
     } else if (op == "history") {
-      result = handle_history(timeline_, req);
+      write_history(reply.body, timeline_, req);
     } else if (op == "stats") {
-      result = handle_stats(timeline_);
+      write_stats(reply.body, timeline_);
     } else if (op == "shutdown") {
       reply.shutdown = true;
-      result = Value(Object{{"ok", Value(true)}, {"op", Value("shutdown")}});
+      write_shutdown(reply.body);
     } else {
       throw std::runtime_error("unknown op \"" + op + "\"");
     }
   } catch (const std::exception& e) {
-    result = error_reply(e.what());
+    write_error(reply.body, e.what());
   }
-  reply.body = result.serialize();
 
   const std::uint64_t elapsed = obs::monotonic_ns() - t0;
   // Distinct macro sites per endpoint: each caches its own registry slot.

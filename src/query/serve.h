@@ -15,10 +15,13 @@
 //   shutdown {"op":"shutdown"}            (server drains and exits)
 //
 // Every reply carries "ok"; failed requests (malformed JSON, unknown op,
-// bad prefix, snapshot out of range) answer {"ok":false,"error":...} and
-// keep the connection usable. Point queries default to the newest
-// snapshot. Replies are deterministic: handle() is a pure function of
-// (request, timeline), so any thread count serves identical bytes.
+// bad prefix, negative or out-of-range snapshot) answer
+// {"ok":false,"error":...} and keep the connection usable. Point queries
+// default to the newest snapshot. Replies are deterministic: handle() is
+// a pure function of (request, timeline), so any thread count serves
+// identical bytes. Only the request is parsed into a report::json::Value;
+// replies stream through report::json::Writer into Reply::body, in the
+// layout Value::serialize prints.
 //
 // Per-endpoint serve.<op>.ns latency histograms are recorded through
 // src/obs; metrics_json() exports the registry as a bgpatoms-trace/1

@@ -8,10 +8,15 @@
 namespace bgpatoms::report::json {
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
+void append_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
-  for (const char ch : s) {
-    const unsigned char c = static_cast<unsigned char>(ch);
+  std::size_t run = 0;  // start of the pending run that needs no escape
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -21,31 +26,13 @@ void append_escaped(std::string& out, const std::string& s) {
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
       default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += ch;
-        }
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xf];
     }
   }
+  out.append(s, run, s.size() - run);
   out += '"';
-}
-
-void append_number(std::string& out, double d) {
-  if (!std::isfinite(d)) {
-    out += "null";
-    return;
-  }
-  // %.17g round-trips every double; prefer the shortest representation
-  // that still parses back to the same value.
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.15g", d);
-  double back = 0;
-  std::sscanf(buf, "%lf", &back);
-  if (back != d) std::snprintf(buf, sizeof buf, "%.17g", d);
-  out += buf;
 }
 
 // Digit-exact integer rendering: counters can exceed 2^53, where the
@@ -58,61 +45,32 @@ void append_integer(std::string& out, Int i) {
   out.append(buf, ptr);
 }
 
-void serialize_to(const Value& v, std::string& out, int depth);
-
-void append_indent(std::string& out, int depth) {
-  out.append(static_cast<std::size_t>(depth) * 2, ' ');
-}
-
-void serialize_to(const Value& v, std::string& out, int depth) {
+void write_value(const Value& v, Writer& w) {
   if (v.is_null()) {
-    out += "null";
+    w.null();
   } else if (v.is_bool()) {
-    out += v.as_bool() ? "true" : "false";
-  } else if (v.is_number()) {
-    if (v.is_integer()) {
-      if (v.as_number() < 0) {
-        append_integer(out, v.as_int64());
-      } else {
-        append_integer(out, v.as_uint64());
-      }
+    w.value(v.as_bool());
+  } else if (v.is_integer()) {
+    if (v.as_number() < 0) {
+      w.value(v.as_int64());
     } else {
-      append_number(out, v.as_number());
+      w.value(v.as_uint64());
     }
+  } else if (v.is_number()) {
+    w.value(v.as_number());
   } else if (v.is_string()) {
-    append_escaped(out, v.as_string());
+    w.value(std::string_view(v.as_string()));
   } else if (v.is_array()) {
-    const Array& a = v.as_array();
-    if (a.empty()) {
-      out += "[]";
-      return;
-    }
-    out += "[\n";
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      append_indent(out, depth + 1);
-      serialize_to(a[i], out, depth + 1);
-      if (i + 1 < a.size()) out += ',';
-      out += '\n';
-    }
-    append_indent(out, depth);
-    out += ']';
+    w.begin_array();
+    for (const Value& e : v.as_array()) write_value(e, w);
+    w.end_array();
   } else {
-    const Object& o = v.as_object();
-    if (o.empty()) {
-      out += "{}";
-      return;
+    w.begin_object();
+    for (const auto& [k, e] : v.as_object()) {
+      w.key(k);
+      write_value(e, w);
     }
-    out += "{\n";
-    for (std::size_t i = 0; i < o.size(); ++i) {
-      append_indent(out, depth + 1);
-      append_escaped(out, o[i].first);
-      out += ": ";
-      serialize_to(o[i].second, out, depth + 1);
-      if (i + 1 < o.size()) out += ',';
-      out += '\n';
-    }
-    append_indent(out, depth);
-    out += '}';
+    w.end_object();
   }
 }
 
@@ -161,8 +119,16 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // One recursion level per container: cap it so hostile input
+        // fails as a parse error instead of overflowing the stack.
+        if (depth_ == Value::kMaxParseDepth) fail("nesting too deep");
+        ++depth_;
+        Value v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Value(parse_string());
       case 't':
         if (!consume_literal("true")) fail("bad literal");
@@ -309,6 +275,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // containers open around pos_
 };
 
 }  // namespace
@@ -370,12 +337,95 @@ const Value* Value::find(std::string_view key) const {
 
 std::string Value::serialize() const {
   std::string out;
-  serialize_to(*this, out, 0);
+  Writer w(out);
+  write_value(*this, w);
   return out;
 }
 
 Value Value::parse(std::string_view text) {
   return Parser(text).parse_document();
+}
+
+// Layout: a container's first element opens a new line, later ones
+// follow ",\n", each at its depth's indent; a non-empty container closes
+// on its own line, an empty one right after its opening bracket.
+void Writer::next_line() {
+  out_ += empty_ ? "\n" : ",\n";
+  empty_ = false;
+  out_.append(static_cast<std::size_t>(depth_) * 2, ' ');
+}
+
+void Writer::before_value() {
+  if (after_key_) {
+    after_key_ = false;
+  } else if (depth_ > 0) {
+    next_line();
+  }
+}
+
+void Writer::open(char bracket) {
+  before_value();
+  out_ += bracket;
+  ++depth_;
+  empty_ = true;
+}
+
+void Writer::close(char bracket) {
+  --depth_;
+  if (!empty_) {
+    out_ += '\n';
+    out_.append(static_cast<std::size_t>(depth_) * 2, ' ');
+  }
+  out_ += bracket;
+  empty_ = false;  // the enclosing container now holds this one
+}
+
+void Writer::key(std::string_view k) {
+  next_line();
+  append_escaped(out_, k);
+  out_ += ": ";
+  after_key_ = true;
+}
+
+void Writer::null() {
+  before_value();
+  out_ += "null";
+}
+
+void Writer::value(bool b) {
+  before_value();
+  out_ += b ? "true" : "false";
+}
+
+void Writer::value(std::int64_t i) {
+  before_value();
+  append_integer(out_, i);
+}
+
+void Writer::value(std::uint64_t u) {
+  before_value();
+  append_integer(out_, u);
+}
+
+void Writer::value(double d) {
+  before_value();
+  if (!std::isfinite(d)) {
+    out_ += "null";
+    return;
+  }
+  // %.17g round-trips every double; prefer the shortest representation
+  // that still parses back to the same value.
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.15g", d);
+  double back = 0;
+  std::sscanf(buf, "%lf", &back);
+  if (back != d) std::snprintf(buf, sizeof buf, "%.17g", d);
+  out_ += buf;
+}
+
+void Writer::value(std::string_view s) {
+  before_value();
+  append_escaped(out_, s);
 }
 
 }  // namespace bgpatoms::report::json

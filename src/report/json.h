@@ -3,6 +3,11 @@
 // dependency. Objects preserve insertion order so emitted reports are
 // byte-stable across runs.
 //
+// Output goes through one streaming pretty-printer, Writer: it owns the
+// indentation, escaping and number rules. Value::serialize walks its tree
+// through a Writer, and code that already holds its data (the bga_serve
+// replies) writes the same bytes through one without building a tree.
+//
 // Numbers: integers are stored as int64/uint64 and serialized digit-exact
 // (no double round-trip), so 64-bit counter values >= 2^53 survive; the
 // parser takes the same integer fast path for literals without '.', 'e'
@@ -76,9 +81,10 @@ class Value {
   std::string serialize() const;
 
   /// Strict recursive-descent parse of one JSON document; throws
-  /// std::runtime_error (with byte offset) on malformed input or
-  /// trailing garbage.
+  /// std::runtime_error (with byte offset) on malformed input, trailing
+  /// garbage, or containers nested deeper than kMaxParseDepth.
   static Value parse(std::string_view text);
+  static constexpr int kMaxParseDepth = 64;
 
   /// Structural equality; numbers compare by value across the three
   /// numeric representations, exactly (no double rounding of integers).
@@ -88,6 +94,60 @@ class Value {
   std::variant<std::nullptr_t, bool, std::int64_t, std::uint64_t, double,
                std::string, Array, Object>
       data_;
+};
+
+/// Streaming pretty-printer (2-space indent, ": " after keys, one element
+/// per line, "{}"/"[]" for empty containers) appending to a caller-owned
+/// string. Calls must nest: every begin_*() has its end_*(), and each
+/// object member is key() followed by exactly one value.
+class Writer {
+ public:
+  explicit Writer(std::string& out) : out_(out) {}
+
+  void begin_object() { open('{'); }
+  void end_object() { close('}'); }
+  void begin_array() { open('['); }
+  void end_array() { close(']'); }
+  void key(std::string_view k);
+
+  void null();
+  void value(bool b);
+  void value(std::int64_t i);
+  void value(std::uint64_t u);
+  /// Shortest of %.15g / %.17g that round-trips; non-finite as null.
+  void value(double d);
+  void value(std::string_view s);
+  /// Without this overload a string literal would convert to bool.
+  void value(const char* s) { value(std::string_view(s)); }
+
+  /// key(k) followed by value(v).
+  template <typename T>
+  void member(std::string_view k, const T& v) {
+    key(k);
+    value(v);
+  }
+
+  /// A string value rendered in place: `render(std::string&)` appends the
+  /// text between the quotes, and that text must need no escaping (the
+  /// caller's digits, dots, colons and brackets).
+  template <typename Render>
+  void rendered_string(Render&& render) {
+    before_value();
+    out_ += '"';
+    render(out_);
+    out_ += '"';
+  }
+
+ private:
+  void before_value();
+  void next_line();
+  void open(char bracket);
+  void close(char bracket);
+
+  std::string& out_;
+  int depth_ = 0;
+  bool empty_ = true;       // the open container has no element yet
+  bool after_key_ = false;  // the next value completes an object member
 };
 
 }  // namespace bgpatoms::report::json

@@ -33,6 +33,7 @@ TEST(IpAddress, ParseV4Rejects) {
 TEST(IpAddress, FormatV4) {
   EXPECT_EQ(IpAddress::v4(0xC0000201u).to_string(), "192.0.2.1");
   EXPECT_EQ(IpAddress::v4(0).to_string(), "0.0.0.0");
+  EXPECT_EQ(IpAddress::v4(0xFFFFFFFFu).to_string(), "255.255.255.255");
 }
 
 TEST(IpAddress, ParseV6Full) {
@@ -68,6 +69,11 @@ TEST(IpAddress, FormatV6CompressesLongestZeroRun) {
   EXPECT_EQ(IpAddress::v6(0, 0).to_string(), "::");
   EXPECT_EQ(IpAddress::v6(0, 1).to_string(), "::1");
   EXPECT_EQ(IpAddress::v6(0x0001000000000000ULL, 0).to_string(), "1::");
+  // Of two equally long runs the first is compressed; the longer wins.
+  EXPECT_EQ(IpAddress::parse("1:0:0:2:0:0:3:4")->to_string(), "1::2:0:0:3:4");
+  EXPECT_EQ(IpAddress::parse("1:0:0:2:3:0:0:0")->to_string(), "1:0:0:2:3::");
+  EXPECT_EQ(IpAddress::v6(~0ULL, ~0ULL).to_string(),
+            "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff");
 }
 
 TEST(IpAddress, FormatV6NoCompressionForSingleZero) {
@@ -131,6 +137,8 @@ TEST(Prefix, ParseAndFormat) {
   EXPECT_EQ(q->to_string(), "2001:db8::/32");
   // Host bits are cleared on parse too.
   EXPECT_EQ(Prefix::parse("10.1.2.3/8")->to_string(), "10.0.0.0/8");
+  EXPECT_EQ(Prefix::v6(0, 1, 128).to_string(), "::1/128");
+  EXPECT_EQ(Prefix::v4(0, 0).to_string(), "0.0.0.0/0");
 }
 
 TEST(Prefix, ParseRejects) {

@@ -64,7 +64,7 @@ std::map<std::vector<bgp::PrefixId>, std::vector<std::string>> index_paths(
     std::vector<std::string> paths;
     for (const auto& [vp, pid] : rec->paths) {
       paths.push_back(std::to_string(vp) + ":" +
-                      idx.paths().get(pid).to_string());
+                      std::string(idx.path_text(pid)));
     }
     out[members] = std::move(paths);
   }

@@ -150,6 +150,82 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_THROW(report::json::Value::parse("'single'"), std::runtime_error);
 }
 
+TEST(Json, ParseRejectsDeepNesting) {
+  using report::json::Value;
+  // The parser recurses once per container; hostile input far below a
+  // serve frame's size must fail as a parse error, not overflow the stack.
+  for (const std::size_t n : {std::size_t{65}, std::size_t{100000},
+                              std::size_t{1000000}}) {
+    std::string objects;
+    for (std::size_t i = 0; i < n; ++i) objects += "{\"a\":";
+    for (const std::string& doc : {std::string(n, '['), objects}) {
+      try {
+        (void)Value::parse(doc);
+        ADD_FAILURE() << n << " levels parsed";
+      } catch (const std::runtime_error& e) {
+        const std::string at = doc[0] == '[' ? "byte 64:" : "byte 320:";
+        EXPECT_NE(std::string(e.what()).find("json parse error at " + at),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // The cap (64) is far above the deepest document the repo writes.
+  const Value deep = Value::parse(std::string(64, '[') + std::string(64, ']'));
+  EXPECT_TRUE(deep.is_array());
+}
+
+TEST(Json, SerializeLayoutIsPinned) {
+  using report::json::Array;
+  using report::json::Object;
+  using report::json::Value;
+  EXPECT_EQ(Value(Object{}).serialize(), "{}");
+  EXPECT_EQ(Value(Array{}).serialize(), "[]");
+
+  const Value doc(Object{
+      {"a", Value(Array{Value(1), Value(Object{}), Value(Array{}),
+                        Value(Object{{"k", Value(nullptr)}})})},
+      {"b", Value(Object{{"c", Value(Array{Value(true), Value(false)})}})},
+      {"s", Value("x")}});
+  EXPECT_EQ(doc.serialize(),
+            "{\n"
+            "  \"a\": [\n"
+            "    1,\n"
+            "    {},\n"
+            "    [],\n"
+            "    {\n"
+            "      \"k\": null\n"
+            "    }\n"
+            "  ],\n"
+            "  \"b\": {\n"
+            "    \"c\": [\n"
+            "      true,\n"
+            "      false\n"
+            "    ]\n"
+            "  },\n"
+            "  \"s\": \"x\"\n"
+            "}");
+
+  // Every escape, in values and keys; '/' and UTF-8 pass through.
+  EXPECT_EQ(Value(std::string("\"\\\b\f\n\r\t\x01\x1f/\xc3\xa9")).serialize(),
+            "\"\\\"\\\\\\b\\f\\n\\r\\t\\u0001\\u001f/\xc3\xa9\"");
+  EXPECT_EQ(Value(Object{{"k\"\n", Value(1)}}).serialize(),
+            "{\n  \"k\\\"\\n\": 1\n}");
+
+  // Integers digit-exact, doubles shortest of %.15g / %.17g that
+  // round-trips, non-finite as null.
+  EXPECT_EQ(Value(std::int64_t{-42}).serialize(), "-42");
+  EXPECT_EQ(Value((std::uint64_t{1} << 53) + 3).serialize(),
+            "9007199254740995");
+  EXPECT_EQ(Value(0.315).serialize(), "0.315");
+  EXPECT_EQ(Value(0.1 + 0.2).serialize(), "0.30000000000000004");
+  EXPECT_EQ(Value(1e300).serialize(), "1e+300");
+  EXPECT_EQ(Value(2.0).serialize(), "2");
+  EXPECT_EQ(Value(std::nan("")).serialize(), "null");
+  EXPECT_EQ(Value(-std::numeric_limits<double>::infinity()).serialize(),
+            "null");
+}
+
 TEST(Json, IntegersAboveTwoPow53SerializeDigitExact) {
   // 2^53 + 1 is the first integer a double cannot represent: the old
   // double round-trip printed 9007199254740992 for it. Counters from the

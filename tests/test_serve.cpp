@@ -1,10 +1,12 @@
 // bga_serve protocol + socket loop: ServeState::handle over every op and
-// error path (pure-function determinism included), and a live Server on
-// an ephemeral loopback port — framed requests for each query type, the
-// HTTP /metrics document validated against bgpatoms-trace/1, idle
-// persistence, and a clean shutdown-op exit. The socket smoke runs under
-// the serve_smoke ctest label (tools/ci_check.sh) and the worker loop
-// under tsan.
+// error path (pure-function determinism included), its streaming replies
+// checked byte for byte against the JSON-tree reference
+// (serve_reference.h) on seeded random and mutated requests, and a live
+// Server on an ephemeral loopback port — framed requests for each query
+// type, the HTTP /metrics document validated against bgpatoms-trace/1,
+// idle persistence, and a clean shutdown-op exit. The socket smoke runs
+// under the serve_smoke ctest label (tools/ci_check.sh), the worker loop
+// under tsan, and the whole suite under asan_smoke.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -13,6 +15,7 @@
 
 #include <cstring>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +25,7 @@
 #include "query/server.h"
 #include "report/json.h"
 #include "report/trace.h"
+#include "serve_reference.h"
 #include "testutil.h"
 
 namespace bgpatoms::query {
@@ -174,6 +178,19 @@ TEST(ServeState, ErrorPathsKeepTheConnectionUsable) {
   EXPECT_FALSE(ok(bad_snap));
   EXPECT_NE(error_of(bad_snap).find("out of range"), std::string::npos);
 
+  const auto negative_snap =
+      reply_for(state, R"({"op":"lookup","q":"1.2.3.4","snapshot":-1})");
+  EXPECT_FALSE(ok(negative_snap));
+  EXPECT_EQ(error_of(negative_snap), "snapshot -1 is negative");
+
+  // Deep nesting far below max_frame is a parse error, not a crash.
+  for (const std::string& deep :
+       {std::string(100000, '['), "{\"op\":" + std::string(100000, '{')}) {
+    const auto nested = reply_for(state, deep);
+    EXPECT_FALSE(ok(nested));
+    EXPECT_NE(error_of(nested).find("json parse error"), std::string::npos);
+  }
+
   // The state still answers a well-formed request afterwards.
   EXPECT_TRUE(ok(reply_for(state, R"({"op":"stats"})")));
 }
@@ -185,6 +202,218 @@ TEST(ServeState, RepliesAreDeterministic) {
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(state.handle(request).body, first);
   }
+}
+
+/// A timeline over v4 and v6 prefixes (so "::" compression shows in
+/// replies) whose labels need escaping; the AtomSets stay alive so the
+/// reference renders paths from their pools.
+struct OracleFixture {
+  DatasetBuilder builder;
+  std::vector<std::unique_ptr<core::SanitizedSnapshot>> snaps;
+  std::vector<core::AtomSet> atoms;
+  std::vector<const net::PathPool*> pools;
+  std::unique_ptr<ServeState> state;
+};
+
+const std::vector<std::string> kV4Prefixes = {
+    "0.0.0.0/0",   "10.0.0.0/8",     "10.1.0.0/16",
+    "10.1.2.0/24", "10.1.2.3/32",    "192.0.2.0/24",
+    "198.51.100.0/24"};
+const std::vector<std::string> kV6Prefixes = {
+    "2001:db8::/32",  "2001:db8:0:1::/64", "2001:db8:1::/48",
+    "::1/128",        "2001:0:0:1::/64",   "fe80::1:0:0:1/128",
+    "1:0:0:2:0:0:3:4/128"};
+
+std::unique_ptr<OracleFixture> make_oracle_fixture() {
+  auto fx = std::make_unique<OracleFixture>();
+  DatasetBuilder& b = fx->builder;
+  for (int snap = 0; snap < 3; ++snap) {
+    if (snap > 0) b.snapshot(100 * snap);
+    for (const net::Asn peer : {100u, 200u, 300u}) {
+      b.peer(peer);
+      std::size_t i = 0;
+      for (const auto* table : {&kV4Prefixes, &kV6Prefixes}) {
+        for (const std::string& prefix : *table) {
+          // Origins group the prefixes into a few atoms; later snapshots
+          // split some of them at one peer, with prepending.
+          const std::string origin = std::to_string(64500 + i % 3);
+          std::string path = std::to_string(peer) + " 7 " + origin;
+          if (snap > 0 && peer == 200 && i % (snap + 2) == 0) {
+            path = std::to_string(peer) + " " + std::to_string(peer) +
+                   " 9 " + origin;
+          }
+          b.route(prefix, path);
+          ++i;
+        }
+      }
+    }
+  }
+  core::SanitizeConfig config = test::lax_config();
+  config.filter_prefixes = false;
+  config.max_prefix_length = 128;
+  Timeline timeline;
+  const std::vector<std::string> labels = {"t0 \"quoted\" back\\slash",
+                                           "t1 control \x01\x1f byte",
+                                           "t2 UTF-8 \xc3\xa9t\xc3\xa9"};
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    fx->snaps.push_back(std::make_unique<core::SanitizedSnapshot>(
+        sanitize(b.dataset(), i, config)));
+  }
+  for (const auto& snap : fx->snaps) {
+    fx->atoms.push_back(core::compute_atoms(*snap));
+  }
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    fx->pools.push_back(&fx->atoms[i].paths());
+    timeline.add(labels[i], std::make_shared<AtomIndex>(
+                                AtomIndex::build(fx->atoms[i])));
+  }
+  fx->state = std::make_unique<ServeState>(std::move(timeline));
+  return fx;
+}
+
+/// Seeded well-formed and malformed requests over every op.
+std::vector<std::string> random_requests(std::mt19937_64& rng,
+                                         std::size_t count) {
+  std::vector<std::string> queries;
+  for (const auto* table : {&kV4Prefixes, &kV6Prefixes}) {
+    for (const std::string& p : *table) {
+      queries.push_back("\"" + p + "\"");
+      queries.push_back("\"" + p.substr(0, p.find('/')) + "\"");
+    }
+  }
+  for (const char* q :
+       {"\"10.1.2.9\"", "\"2001:db8:0:1::5\"", "\"203.0.113.7\"",
+        "\"3fff::1\"", "\"10.0/99\"", "\"\"", "\"::g\"",
+        "\"1.2.3.4/33\"", "\"2001:db8::/129\"", "\"10.1.2.3/\"",
+        "\"10.0.0.1\\\"\"", "\"\\u0001\"", "5", "null", "[]",
+        "{}"}) {
+    queries.push_back(q);
+  }
+  const std::vector<std::string> snapshots = {
+      "0",    "1",       "2",   "3",
+      "7",    "-1",      "-9223372036854775808",
+      "18446744073709551615", "99999999999999999999", "1.5",
+      "\"0\"", "true",    "null"};
+  const std::vector<std::string> ops = {
+      "\"lookup\"", "\"equiv\"",    "\"history\"",        "\"stats\"",
+      "\"shutdown\"", "\"frobnicate\"", "\"look\\u0001up\"", "5"};
+  auto pick = [&](const std::vector<std::string>& from) {
+    return from[rng() % from.size()];
+  };
+  std::vector<std::string> out;
+  for (std::size_t n = 0; n < count; ++n) {
+    std::vector<std::string> fields;
+    // Ops weighted toward the ones with answers; a few requests have none.
+    const std::uint64_t roll = rng() % 20;
+    if (roll < 6) {
+      fields.push_back("\"op\":\"lookup\"");
+    } else if (roll < 9) {
+      fields.push_back("\"op\":\"equiv\"");
+    } else if (roll < 12) {
+      fields.push_back("\"op\":\"history\"");
+    } else if (roll < 19) {
+      fields.push_back("\"op\":" + pick(ops));
+    }
+    for (const char* key : {"q", "a", "b"}) {
+      if (rng() % 8 != 0) {
+        fields.push_back(std::string("\"") + key + "\":" + pick(queries));
+      }
+    }
+    if (rng() % 3 != 0) fields.push_back("\"snapshot\":" + pick(snapshots));
+    std::shuffle(fields.begin(), fields.end(), rng);
+    std::string request = "{";
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      if (i > 0) request += rng() % 4 == 0 ? " , " : ",";
+      request += fields[i];
+    }
+    out.push_back(request + "}");
+  }
+  return out;
+}
+
+/// One seeded mutation of `base` (`other` feeds splices).
+std::string mutate(std::mt19937_64& rng, std::string base,
+                   const std::string& other) {
+  auto at = [&](std::size_t n) { return n == 0 ? 0 : rng() % (n + 1); };
+  switch (rng() % 7) {
+    case 0:  // bit flips
+      for (int k = 0, n = 1 + static_cast<int>(rng() % 3); k < n; ++k) {
+        if (base.empty()) break;
+        base[rng() % base.size()] ^= static_cast<char>(1u << (rng() % 8));
+      }
+      return base;
+    case 1:  // truncation
+      return base.substr(0, at(base.size()));
+    case 2:  // splice
+      return base.substr(0, at(base.size())) + other.substr(at(other.size()));
+    case 3: {  // inserted quote, backslash or control byte
+      static const std::string kBytes("\"\\\x01\x1f\x7f\xff\0", 7);
+      base.insert(at(base.size()), 1, kBytes[rng() % kBytes.size()]);
+      return base;
+    }
+    case 4:  // long digit run
+      base.insert(at(base.size()), std::string(20 + rng() % 400, '9'));
+      return base;
+    case 5: {  // deep [ / { runs, before or inside the request
+      static const std::size_t kDepths[] = {63, 64, 65, 1000, 100000};
+      const std::size_t depth = kDepths[rng() % std::size(kDepths)];
+      const char open = rng() % 2 == 0 ? '[' : '{';
+      std::string run(depth, open);
+      if (rng() % 2 == 0) run += std::string(depth, open == '[' ? ']' : '}');
+      const std::size_t colon = base.find(':');
+      if (rng() % 2 == 0 && colon != std::string::npos) {
+        return base.substr(0, colon + 1) + run + base.substr(colon + 1);
+      }
+      return run + base;
+    }
+    default:  // duplicated member: the first one wins
+      return base.empty() ? base
+                          : base.substr(0, base.size() - 1) + "," +
+                                base.substr(1);
+  }
+}
+
+TEST(ServeState, MatchesTreeReferenceOnRandomAndMutatedRequests) {
+  const auto fx = make_oracle_fixture();
+  std::mt19937_64 rng(0x5e7e);
+  std::vector<std::string> requests = random_requests(rng, 2000);
+  const std::size_t base = requests.size();
+  for (std::size_t i = 0; i < 8000; ++i) {
+    requests.push_back(mutate(rng, requests[rng() % base],
+                              requests[rng() % base]));
+  }
+  int failures = 0;
+  std::size_t answered = 0;
+  for (const std::string& request : requests) {
+    const ServeState::Reply got = fx->state->handle(request);
+    const test::ReferenceReply want =
+        test::reference_reply(fx->state->timeline(), fx->pools, request);
+    if (got.body != want.body || got.shutdown != want.shutdown) {
+      ADD_FAILURE() << "reply differs from the reference for "
+                    << testing::PrintToString(request.substr(0, 200))
+                    << "\n got: " << got.body << "\nwant: " << want.body;
+      if (++failures == 5) break;
+      continue;
+    }
+    Value reply;
+    try {
+      reply = Value::parse(got.body);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "unparsable reply: " << e.what();
+      if (++failures == 5) break;
+      continue;
+    }
+    const Value* okv = reply.find("ok");
+    ASSERT_TRUE(okv != nullptr && okv->is_bool()) << got.body;
+    if (okv->as_bool()) {
+      ++answered;
+    } else {
+      const Value* error = reply.find("error");
+      ASSERT_TRUE(error != nullptr && error->is_string()) << got.body;
+    }
+  }
+  // The mix must reach real answers, not only error replies.
+  EXPECT_GT(answered, requests.size() / 10);
 }
 
 TEST(ServeState, FrameIsLittleEndianLengthPrefixed) {

@@ -7,7 +7,9 @@
 #   tools/ci_check.sh default     # any subset of: default serve vp asan tsan
 #
 # Run from the repository root. Each stage is incremental: configure is
-# skipped when the preset's build directory already has a cache.
+# skipped when the preset's build directory already has a cache, except
+# in the default stage, which configures on every run so that its
+# warnings-as-errors setting also reaches an existing cache.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -28,7 +30,7 @@ for stage in "${STAGES[@]}"; do
   echo "==> ci_check: ${stage}"
   case "${stage}" in
     default)
-      configure default build
+      cmake --preset default -DBGPATOMS_WARNINGS_AS_ERRORS=ON
       cmake --build --preset default -j "${JOBS}"
       ctest --test-dir build --output-on-failure -j "${JOBS}"
       # Self-tests of the repository benchmark's measurement rules and its
