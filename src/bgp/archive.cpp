@@ -28,7 +28,7 @@ net::IpAddress read_address(ByteReader& r, net::Family f) {
   return net::IpAddress::v6(hi, lo);
 }
 
-void write_path(ByteWriter& w, const net::AsPath& p) {
+void write_path(ByteWriter& w, net::PathView p) {
   w.varint(p.segments().size());
   for (const auto& seg : p.segments()) {
     w.u8(static_cast<std::uint8_t>(seg.type));
@@ -37,12 +37,15 @@ void write_path(ByteWriter& w, const net::AsPath& p) {
   }
 }
 
-net::AsPath read_path(ByteReader& r) {
+/// Decodes one dictionary path into `hops` and its segment `layout`,
+/// replacing their contents.
+void read_path(ByteReader& r, std::vector<net::Asn>& hops,
+               std::vector<net::SegmentEnd>& layout) {
+  hops.clear();
+  layout.clear();
   const std::uint64_t nseg = r.varint();
   if (nseg > 1024) throw ArchiveError("absurd segment count");
   checked_count(r, nseg, kMinSegmentBytes, "path segments");
-  std::vector<net::PathSegment> segs;
-  segs.reserve(nseg);
   for (std::uint64_t i = 0; i < nseg; ++i) {
     const auto type = static_cast<net::SegmentType>(r.u8());
     if (type != net::SegmentType::kSequence && type != net::SegmentType::kSet)
@@ -50,13 +53,10 @@ net::AsPath read_path(ByteReader& r) {
     const std::uint64_t n = r.varint();
     if (n == 0 || n > (1u << 20)) throw ArchiveError("bad segment length");
     checked_count(r, n, kMinAsnBytes, "segment ASNs");
-    net::PathSegment seg{type, {}};
-    seg.asns.reserve(n);
     for (std::uint64_t k = 0; k < n; ++k)
-      seg.asns.push_back(static_cast<net::Asn>(r.varint()));
-    segs.push_back(std::move(seg));
+      hops.push_back(static_cast<net::Asn>(r.varint()));
+    layout.push_back({type, static_cast<std::uint32_t>(hops.size())});
   }
-  return net::AsPath::from_segments(std::move(segs));
 }
 
 PrefixId check_prefix(const Dataset& ds, std::uint64_t id) {
@@ -161,8 +161,11 @@ void decode_collectors(ByteReader& r, Dataset& ds) {
 void decode_paths(ByteReader& r, Dataset& ds) {
   const std::uint64_t npaths =
       checked_count(r, r.varint(), kMinPathBytes, "paths");
+  std::vector<net::Asn> hops;
+  std::vector<net::SegmentEnd> layout;
   for (std::uint64_t i = 0; i < npaths; ++i) {
-    const PathId id = ds.paths.intern(read_path(r));
+    read_path(r, hops, layout);
+    const PathId id = ds.paths.intern(hops, layout);
     if (id != i + 1) throw ArchiveError("duplicate path in dictionary");
   }
 }

@@ -8,7 +8,7 @@ std::size_t nlri_bytes(const net::Prefix& prefix) {
   return 1 + static_cast<std::size_t>((prefix.length() + 7) / 8);
 }
 
-std::size_t attribute_bytes(const net::AsPath& path,
+std::size_t attribute_bytes(net::PathView path,
                             std::span<const Community> communities) {
   // ORIGIN: flags+type+len+value = 4.
   std::size_t n = 4;

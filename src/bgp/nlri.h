@@ -29,7 +29,7 @@ std::size_t nlri_bytes(const net::Prefix& prefix);
 
 /// Wire-size estimate of the path attributes (ORIGIN + AS_PATH with 4-byte
 /// ASNs + NEXT_HOP + COMMUNITIES).
-std::size_t attribute_bytes(const net::AsPath& path,
+std::size_t attribute_bytes(net::PathView path,
                             std::span<const Community> communities);
 
 /// Splits `announced` (all sharing `path` + `communities`) into as few

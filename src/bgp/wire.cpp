@@ -147,7 +147,7 @@ net::Prefix read_nlri(Reader& r, net::Family family) {
   return net::Prefix(net::IpAddress::v6(hi, lo), len);
 }
 
-void write_as_path(Writer& w, const net::AsPath& path) {
+void write_as_path(Writer& w, net::PathView path) {
   // AS_PATH is extended-length: long prepended paths can exceed 255 bytes.
   const std::size_t len_pos =
       begin_attribute(w, kFlagTransitive, kAttrAsPath, /*extended=*/true);
@@ -162,21 +162,21 @@ void write_as_path(Writer& w, const net::AsPath& path) {
 }
 
 net::AsPath read_as_path(Reader attr) {
-  std::vector<net::PathSegment> segments;
+  net::AsPath path;
+  std::vector<net::Asn> asns;
   while (!attr.at_end()) {
     const std::uint8_t type = attr.u8();
     if (type != kSegmentAsSet && type != kSegmentAsSequence) {
       throw WireError("bad AS path segment type");
     }
     const std::uint8_t count = attr.u8();
-    net::PathSegment seg;
-    seg.type = type == kSegmentAsSet ? net::SegmentType::kSet
-                                     : net::SegmentType::kSequence;
-    seg.asns.reserve(count);
-    for (int i = 0; i < count; ++i) seg.asns.push_back(attr.u32());
-    segments.push_back(std::move(seg));
+    asns.clear();
+    for (int i = 0; i < count; ++i) asns.push_back(attr.u32());
+    path.append_segment(type == kSegmentAsSet ? net::SegmentType::kSet
+                                              : net::SegmentType::kSequence,
+                        asns);
   }
-  return net::AsPath::from_segments(std::move(segments));
+  return path;
 }
 
 /// Shared core of both encode_update overloads: everything the codec

@@ -18,6 +18,14 @@ struct RunSplit {
   bool by_prepend = false;
 };
 
+/// The origin-rooted runs `method` compares: those of the stripped path
+/// under method (ii), of the path itself otherwise.
+std::vector<net::AsRun> runs_under(net::PathView path, PrependMethod method) {
+  return method == PrependMethod::kStripAfterGrouping
+             ? path.stripped().runs_from_origin()
+             : path.runs_from_origin();
+}
+
 RunSplit split_runs(std::span<const net::AsRun> a,
                     std::span<const net::AsRun> b, bool count_aware) {
   const std::size_t n = std::min(a.size(), b.size());
@@ -39,19 +47,12 @@ RunSplit split_runs(std::span<const net::AsRun> a,
 
 }  // namespace
 
-std::int32_t split_point(const net::AsPath& a, const net::AsPath& b,
+std::int32_t split_point(net::PathView a, net::PathView b,
                          PrependMethod method) {
   if (a.empty() || b.empty()) return a.empty() && b.empty() ? INT32_MAX : 1;
   const bool count_aware = method == PrependMethod::kRunAware;
-  const auto ra = (method == PrependMethod::kStripAfterGrouping
-                       ? a.stripped()
-                       : a)
-                      .runs_from_origin();
-  const auto rb = (method == PrependMethod::kStripAfterGrouping
-                       ? b.stripped()
-                       : b)
-                      .runs_from_origin();
-  return split_runs(ra, rb, count_aware).distance;
+  return split_runs(runs_under(a, method), runs_under(b, method), count_aware)
+      .distance;
 }
 
 double FormationResult::cumulative_share(int d) const {
@@ -92,10 +93,7 @@ FormationResult formation_distance(const AtomSet& atoms,
   std::vector<char> runs_ready(pool.size(), 0);
   auto runs_of = [&](bgp::PathId id) -> std::span<const net::AsRun> {
     if (!runs_ready[id]) {
-      const net::AsPath& p = pool.get(id);
-      runs[id] = (method == PrependMethod::kStripAfterGrouping ? p.stripped()
-                                                               : p)
-                     .runs_from_origin();
+      runs[id] = runs_under(pool.get(id), method);
       runs_ready[id] = 1;
     }
     return runs[id];

@@ -80,7 +80,7 @@ FormationResult formation_distance(const AtomSet& atoms,
 /// Splitting point of two paths under `method`, counted from the origin in
 /// unique-AS hops; returns INT32_MAX when indistinguishable. Exposed for
 /// tests (the §3.4.2 worked example).
-std::int32_t split_point(const net::AsPath& a, const net::AsPath& b,
+std::int32_t split_point(net::PathView a, net::PathView b,
                          PrependMethod method);
 
 }  // namespace bgpatoms::core

@@ -34,13 +34,14 @@ const char* to_string(PeerRemovalReason reason) {
   return "?";
 }
 
-CleanPath clean_path(const net::AsPath& raw, net::PathPool& pool) {
+CleanPath clean_path(net::PathView raw, net::PathPool& pool) {
   if (!raw.has_set()) return {pool.intern(raw), CleanPath::Fate::kAsIs};
   if (!raw.sets_all_singleton()) {
     return {net::PathPool::kEmptyPathId, CleanPath::Fate::kDropped};
   }
-  return {pool.intern(raw.with_singleton_sets_expanded()),
-          CleanPath::Fate::kExpanded};
+  // Every set is a singleton, so the expansion merges all the hops into
+  // one AS_SEQUENCE.
+  return {pool.intern(raw.hops()), CleanPath::Fate::kExpanded};
 }
 
 namespace {
@@ -76,15 +77,10 @@ class PrefixStamps {
 /// True if a bogon ASN sits anywhere behind the path's first hop, AS_SET
 /// members included. The peer's own leading hop may legitimately be
 /// private; a bogon deeper in signals injection (the AS65000 case).
-bool bogon_behind_head(const net::AsPath& path) {
-  bool head = true;
-  for (const auto& seg : path.segments()) {
-    for (const net::Asn asn : seg.asns) {
-      if (!head && net::is_bogon_asn(asn)) return true;
-      head = false;
-    }
-  }
-  return false;
+bool bogon_behind_head(net::PathView path) {
+  const auto hops = path.hops();
+  return !hops.empty() &&
+         std::any_of(hops.begin() + 1, hops.end(), net::is_bogon_asn);
 }
 
 /// Pass 1: statistics for every raw feed, in snapshot order. The bogon
@@ -113,9 +109,8 @@ std::vector<PeerScan> scan_peers(const net::PathPool& paths,
       path_state[rec.path] = kUsed;
     }
   }
-  // Test the used paths in id order: a pool's paths, and mostly their
-  // hop arrays, sit in memory in id order, so this walks forward where
-  // feed order would jump.
+  // Test the used paths in id order: a pool's hops sit in its arena in id
+  // order, so this walks forward where feed order would jump.
   std::size_t distinct_paths = 0;
   for (bgp::PathId id = 0; id < path_state.size(); ++id) {
     if (path_state[id] == kUnused) continue;
@@ -171,23 +166,14 @@ void clean_tables(const net::PathPool& paths, const bgp::Snapshot& snap,
     }
   }
 
-  // Clean and intern each distinct path. Paths sit in memory in id order
-  // but are met in feed order, so each read would stall on three
-  // dependent cache misses: pool entry, segment array, hops.
-  // Prefetch them some paths ahead, one level per stage, since each
-  // level's address is loaded from the level above.
-  const auto path_at = [&](std::size_t i) -> const net::AsPath* {
-    return i < first_met.size() ? &paths.get(first_met[i]) : nullptr;
-  };
+  // Clean and intern each distinct path. Hops sit in the arena in id
+  // order but are met in feed order, so each read would stall on a cache
+  // miss: prefetch the hops some paths ahead.
   for (std::size_t i = 0; i < first_met.size(); ++i) {
-    if (const auto* p = path_at(i + 12)) __builtin_prefetch(p);
-    if (const auto* p = path_at(i + 8)) {
-      __builtin_prefetch(p->segments().data());
+    if (i + 8 < first_met.size()) {
+      __builtin_prefetch(paths.get(first_met[i + 8]).hops().data());
     }
-    if (const auto* p = path_at(i + 4)) {
-      for (const auto& seg : p->segments()) __builtin_prefetch(seg.asns.data());
-    }
-    memo[first_met[i]] = clean_path(*path_at(i), out.paths);
+    memo[first_met[i]] = clean_path(paths.get(first_met[i]), out.paths);
   }
 
   // Sanitized path ids in place of source ids; then deduplicate, first

@@ -122,7 +122,7 @@ struct CleanPath {
 /// snapshot and update paths are always cleaned alike: a path with a
 /// multi-member AS_SET is dropped; singleton sets are expanded into
 /// sequence hops; what remains is interned into `pool`.
-CleanPath clean_path(const net::AsPath& raw, net::PathPool& pool);
+CleanPath clean_path(net::PathView raw, net::PathPool& pool);
 
 /// Sanitizes one captured snapshot against the dictionaries of `src` (the
 /// raw snapshot may be discarded afterwards; the view's pools must outlive

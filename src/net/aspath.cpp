@@ -3,72 +3,19 @@
 #include <algorithm>
 #include <cassert>
 #include <charconv>
+#include <functional>
+#include <stdexcept>
 
 namespace bgpatoms::net {
 
-AsPath AsPath::sequence(std::vector<Asn> asns) {
-  AsPath p;
-  if (!asns.empty()) {
-    p.segments_.push_back({SegmentType::kSequence, std::move(asns)});
-  }
-  return p;
-}
+// ---------------------------------------------------------------------------
+// PathView
+// ---------------------------------------------------------------------------
 
-AsPath AsPath::from_segments(std::vector<PathSegment> segments) {
-  AsPath p;
-  for (auto& seg : segments) {
-    if (!seg.asns.empty()) p.segments_.push_back(std::move(seg));
-  }
-  return p;
-}
-
-std::optional<AsPath> AsPath::parse(std::string_view text) {
-  AsPath path;
-  PathSegment current{SegmentType::kSequence, {}};
-  bool in_set = false;
-
-  auto flush_sequence = [&] {
-    if (!current.asns.empty()) {
-      path.segments_.push_back(std::move(current));
-      current = {SegmentType::kSequence, {}};
-    }
-  };
-
-  std::size_t i = 0;
-  while (i < text.size()) {
-    const char c = text[i];
-    if (c == ' ' || c == '\t') {
-      ++i;
-    } else if (c == '[') {
-      if (in_set) return std::nullopt;
-      flush_sequence();
-      in_set = true;
-      current.type = SegmentType::kSet;
-      ++i;
-    } else if (c == ']') {
-      if (!in_set || current.asns.empty()) return std::nullopt;
-      path.segments_.push_back(std::move(current));
-      current = {SegmentType::kSequence, {}};
-      in_set = false;
-      ++i;
-    } else if (c >= '0' && c <= '9') {
-      Asn asn = 0;
-      auto [p, ec] = std::from_chars(text.data() + i, text.data() + text.size(), asn);
-      if (ec != std::errc()) return std::nullopt;
-      current.asns.push_back(asn);
-      i = static_cast<std::size_t>(p - text.data());
-    } else {
-      return std::nullopt;
-    }
-  }
-  if (in_set) return std::nullopt;
-  flush_sequence();
-  return path;
-}
-
-int AsPath::selection_length() const {
+int PathView::selection_length() const {
+  if (layout_.empty()) return static_cast<int>(hops_.size());
   int len = 0;
-  for (const auto& seg : segments_) {
+  for (const SegmentView seg : segments()) {
     len += seg.type == SegmentType::kSequence
                ? static_cast<int>(seg.asns.size())
                : 1;
@@ -76,58 +23,59 @@ int AsPath::selection_length() const {
   return len;
 }
 
-std::optional<Asn> AsPath::origin() const {
-  if (segments_.empty()) return std::nullopt;
-  const auto& last = segments_.back();
-  if (last.asns.empty()) return std::nullopt;
-  if (last.type == SegmentType::kSequence) return last.asns.back();
-  if (last.asns.size() == 1) return last.asns.front();
+std::optional<Asn> PathView::origin() const {
+  if (hops_.empty()) return std::nullopt;
+  if (layout_.empty() || layout_.back().type == SegmentType::kSequence) {
+    return hops_.back();
+  }
+  const SegmentView last = segments()[layout_.size() - 1];
+  if (last.asns.size() == 1) return hops_.back();
   return std::nullopt;  // aggregated origin is ambiguous
 }
 
-std::optional<Asn> AsPath::head() const {
-  if (segments_.empty() || segments_.front().asns.empty())
-    return std::nullopt;
-  return segments_.front().asns.front();
+std::optional<Asn> PathView::head() const {
+  if (hops_.empty()) return std::nullopt;
+  return hops_.front();
 }
 
-bool AsPath::has_set() const {
-  return std::any_of(segments_.begin(), segments_.end(), [](const auto& s) {
+bool PathView::has_set() const {
+  return std::any_of(layout_.begin(), layout_.end(), [](const SegmentEnd& s) {
     return s.type == SegmentType::kSet;
   });
 }
 
-bool AsPath::sets_all_singleton() const {
-  return std::all_of(segments_.begin(), segments_.end(), [](const auto& s) {
-    return s.type == SegmentType::kSequence || s.asns.size() == 1;
-  });
+bool PathView::sets_all_singleton() const {
+  for (const SegmentView seg : segments()) {
+    if (seg.type == SegmentType::kSet && seg.asns.size() != 1) return false;
+  }
+  return true;
 }
 
-AsPath AsPath::with_singleton_sets_expanded() const {
+AsPath PathView::with_singleton_sets_expanded() const {
+  // Each maximal run of sequences and singleton sets becomes one sequence;
+  // multi-member sets stay between them.
   AsPath out;
-  for (const auto& seg : segments_) {
-    const bool as_sequence =
-        seg.type == SegmentType::kSequence || seg.asns.size() == 1;
-    if (as_sequence && !out.segments_.empty() &&
-        out.segments_.back().type == SegmentType::kSequence) {
-      auto& back = out.segments_.back().asns;
-      back.insert(back.end(), seg.asns.begin(), seg.asns.end());
-    } else if (as_sequence) {
-      out.segments_.push_back({SegmentType::kSequence, seg.asns});
-    } else {
-      out.segments_.push_back(seg);
+  const Asn* run = hops_.data();
+  for (const SegmentView seg : segments()) {
+    if (seg.type == SegmentType::kSet && seg.asns.size() > 1) {
+      out.append_segment(SegmentType::kSequence,
+                         {run, seg.asns.data()});
+      out.append_segment(SegmentType::kSet, seg.asns);
+      run = seg.asns.data() + seg.asns.size();
     }
   }
+  out.append_segment(SegmentType::kSequence,
+                     {run, hops_.data() + hops_.size()});
   return out;
 }
 
-bool AsPath::has_loop() const {
+bool PathView::has_loop() const {
   // An AS may legitimately appear several times only as one consecutive run
   // (prepending). Detect any AS that starts a second, non-adjacent run.
   std::vector<Asn> seen;
   Asn prev = 0;
   bool first = true;
-  for (const auto& seg : segments_) {
+  for (const SegmentView seg : segments()) {
     if (seg.type != SegmentType::kSequence) {
       first = true;  // sets break adjacency tracking
       continue;
@@ -143,8 +91,8 @@ bool AsPath::has_loop() const {
   return false;
 }
 
-bool AsPath::has_bogon() const {
-  for (const auto& seg : segments_) {
+bool PathView::has_bogon() const {
+  for (const SegmentView seg : segments()) {
     if (seg.type != SegmentType::kSequence) continue;
     for (Asn a : seg.asns) {
       if (is_bogon_asn(a)) return true;
@@ -153,18 +101,9 @@ bool AsPath::has_bogon() const {
   return false;
 }
 
-std::vector<Asn> AsPath::flat() const {
-  std::vector<Asn> out;
-  for (const auto& seg : segments_) {
-    out.insert(out.end(), seg.asns.begin(), seg.asns.end());
-  }
-  return out;
-}
-
-std::vector<AsRun> AsPath::runs_from_origin() const {
-  const auto hops = flat();
+std::vector<AsRun> PathView::runs_from_origin() const {
   std::vector<AsRun> runs;
-  for (auto it = hops.rbegin(); it != hops.rend(); ++it) {
+  for (auto it = hops_.rbegin(); it != hops_.rend(); ++it) {
     if (!runs.empty() && runs.back().asn == *it) {
       ++runs.back().count;
     } else {
@@ -174,88 +113,209 @@ std::vector<AsRun> AsPath::runs_from_origin() const {
   return runs;
 }
 
-AsPath AsPath::stripped() const {
+AsPath PathView::stripped() const {
   AsPath out;
-  for (const auto& seg : segments_) {
+  std::vector<Asn> dedup;
+  for (const SegmentView seg : segments()) {
     if (seg.type == SegmentType::kSet) {
-      out.segments_.push_back(seg);
+      out.append_segment(SegmentType::kSet, seg.asns);
       continue;
     }
-    PathSegment dedup{SegmentType::kSequence, {}};
+    dedup.clear();
     for (Asn a : seg.asns) {
-      if (dedup.asns.empty() || dedup.asns.back() != a) dedup.asns.push_back(a);
+      if (dedup.empty() || dedup.back() != a) dedup.push_back(a);
     }
-    if (!dedup.asns.empty()) out.segments_.push_back(std::move(dedup));
+    out.append_segment(SegmentType::kSequence, dedup);
   }
   return out;
 }
 
-int AsPath::unique_hop_count() const {
-  const auto hops = flat();
+int PathView::unique_hop_count() const {
   int count = 0;
-  Asn prev = 0;
-  bool first = true;
-  for (Asn a : hops) {
-    if (first || a != prev) ++count;
-    prev = a;
-    first = false;
+  for (std::size_t i = 0; i < hops_.size(); ++i) {
+    if (i == 0 || hops_[i] != hops_[i - 1]) ++count;
   }
   return count;
 }
 
-void AsPath::prepend(Asn asn, int count) {
-  assert(count >= 1);
-  if (segments_.empty() || segments_.front().type != SegmentType::kSequence) {
-    segments_.insert(segments_.begin(), {SegmentType::kSequence, {}});
-  }
-  auto& head = segments_.front().asns;
-  head.insert(head.begin(), static_cast<std::size_t>(count), asn);
-}
-
-std::string AsPath::to_string() const {
+std::string PathView::to_string() const {
   std::string out;
-  for (const auto& seg : segments_) {
+  char buf[16];
+  for (const SegmentView seg : segments()) {
     if (!out.empty()) out += ' ';
     if (seg.type == SegmentType::kSet) out += '[';
-    bool first = true;
-    for (Asn a : seg.asns) {
-      if (!first) out += ' ';
-      out += std::to_string(a);
-      first = false;
+    for (std::size_t i = 0; i < seg.asns.size(); ++i) {
+      if (i > 0) out += ' ';
+      out.append(buf, std::to_chars(buf, buf + sizeof buf, seg.asns[i]).ptr);
     }
     if (seg.type == SegmentType::kSet) out += ']';
   }
   return out;
 }
 
-std::uint64_t AsPath::hash() const {
-  std::uint64_t h = 0x5851f42d4c957f2dULL;
-  for (const auto& seg : segments_) {
-    h = hash_combine(h, static_cast<std::uint64_t>(seg.type));
-    h = hash_combine(h, hash_span<Asn>(seg.asns));
+std::uint64_t PathView::hash() const {
+  std::uint64_t seed = 0x5851f42d4c957f2dULL;
+  for (const SegmentEnd& s : layout_) {
+    seed = hash_combine(seed, std::uint64_t{s.end} << 8 |
+                                  static_cast<std::uint8_t>(s.type));
   }
-  return h;
+  return hash_row32(hops_.data(), hops_.size(), seed);
 }
 
-PathPool::PathPool() {
-  paths_.emplace_back();  // id 0 == empty path
-  by_hash_[paths_[0].hash()].push_back(kEmptyPathId);
+bool operator==(PathView a, PathView b) {
+  return std::ranges::equal(a.hops_, b.hops_) &&
+         std::ranges::equal(a.layout_, b.layout_);
 }
 
-PathPool::PathId PathPool::intern(const AsPath& path) {
-  return intern(AsPath(path));
+// ---------------------------------------------------------------------------
+// AsPath
+// ---------------------------------------------------------------------------
+
+AsPath AsPath::sequence(std::vector<Asn> asns) {
+  AsPath p;
+  p.hops_ = std::move(asns);
+  return p;
 }
 
-PathPool::PathId PathPool::intern(AsPath&& path) {
-  const std::uint64_t h = path.hash();
-  auto& bucket = by_hash_[h];
-  for (PathId id : bucket) {
-    if (paths_[id] == path) return id;
+AsPath AsPath::from_segments(const std::vector<PathSegment>& segments) {
+  AsPath p;
+  for (const auto& seg : segments) p.append_segment(seg.type, seg.asns);
+  return p;
+}
+
+std::optional<AsPath> AsPath::parse(std::string_view text) {
+  AsPath path;
+  std::vector<Asn> current;
+  bool in_set = false;
+
+  std::size_t i = 0;
+  while (i < text.size()) {
+    const char c = text[i];
+    if (c == ' ' || c == '\t') {
+      ++i;
+    } else if (c == '[') {
+      if (in_set) return std::nullopt;
+      path.append_segment(SegmentType::kSequence, current);
+      current.clear();
+      in_set = true;
+      ++i;
+    } else if (c == ']') {
+      if (!in_set || current.empty()) return std::nullopt;
+      path.append_segment(SegmentType::kSet, current);
+      current.clear();
+      in_set = false;
+      ++i;
+    } else if (c >= '0' && c <= '9') {
+      Asn asn = 0;
+      auto [p, ec] = std::from_chars(text.data() + i, text.data() + text.size(), asn);
+      if (ec != std::errc()) return std::nullopt;
+      current.push_back(asn);
+      i = static_cast<std::size_t>(p - text.data());
+    } else {
+      return std::nullopt;
+    }
   }
-  const auto id = static_cast<PathId>(paths_.size());
-  paths_.push_back(std::move(path));
-  bucket.push_back(id);
+  if (in_set) return std::nullopt;
+  path.append_segment(SegmentType::kSequence, current);
+  return path;
+}
+
+void AsPath::append_segment(SegmentType type, std::span<const Asn> asns) {
+  if (asns.empty()) return;
+  if (asns.size() > UINT32_MAX - hops_.size()) {
+    throw std::length_error("AsPath: more hops than a 32-bit layout holds");
+  }
+  // A first AS_SEQUENCE keeps the layout empty; anything after it (or a
+  // leading AS_SET) spells out every segment.
+  const bool single_sequence =
+      hops_.empty() && type == SegmentType::kSequence;
+  if (!single_sequence && layout_.empty() && !hops_.empty()) {
+    layout_.push_back(
+        {SegmentType::kSequence, static_cast<std::uint32_t>(hops_.size())});
+  }
+  hops_.insert(hops_.end(), asns.begin(), asns.end());
+  if (!single_sequence) {
+    layout_.push_back({type, static_cast<std::uint32_t>(hops_.size())});
+  }
+}
+
+void AsPath::prepend(Asn asn, int count) {
+  assert(count >= 1);
+  const auto n = static_cast<std::uint32_t>(count);
+  hops_.insert(hops_.begin(), n, asn);
+  if (layout_.empty()) return;  // still one AS_SEQUENCE
+  for (auto& s : layout_) s.end += n;
+  if (layout_.front().type == SegmentType::kSet) {
+    layout_.insert(layout_.begin(), {SegmentType::kSequence, n});
+  }
+}
+
+// ---------------------------------------------------------------------------
+// PathPool
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Appends `src` to `arena`; `src` may lie inside `arena` itself, whose
+/// storage the append may move.
+template <typename T>
+void append_arena(std::vector<T>& arena, std::span<const T> src) {
+  const T* base = arena.data();
+  const bool inside = !src.empty() &&
+                      std::greater_equal<const T*>()(src.data(), base) &&
+                      std::less<const T*>()(src.data(), base + arena.size());
+  if (!inside) {
+    arena.insert(arena.end(), src.begin(), src.end());
+    return;
+  }
+  const auto at = static_cast<std::size_t>(src.data() - base);
+  const std::size_t old = arena.size();
+  arena.resize(old + src.size());
+  std::copy_n(arena.data() + at, src.size(), arena.data() + old);
+}
+
+}  // namespace
+
+PathPool::PathPool() : extents_(2), index_(16) {
+  // id 0 == the empty path: no hops, no layout.
+  const auto hash = static_cast<std::uint32_t>(PathView().hash());
+  index_[hash & (index_.size() - 1)] = {hash, kEmptyPathId};
+}
+
+PathPool::PathId PathPool::intern(PathView path) {
+  const auto hash = static_cast<std::uint32_t>(path.hash());
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = hash & mask;
+  for (; index_[i].id != kNoPath; i = (i + 1) & mask) {
+    if (index_[i].hash == hash && get(index_[i].id) == path) {
+      return index_[i].id;
+    }
+  }
+  if (size() >= kNoPath ||
+      hops_.size() + path.hops().size() > UINT32_MAX ||
+      layouts_.size() + path.layout().size() > UINT32_MAX) {
+    throw std::length_error("PathPool: more paths or hops than 32-bit ids");
+  }
+  const auto id = static_cast<PathId>(size());
+  append_arena(layouts_, path.layout());
+  append_arena(hops_, path.hops());
+  extents_.push_back({static_cast<std::uint32_t>(hops_.size()),
+                      static_cast<std::uint32_t>(layouts_.size())});
+  index_[i] = {hash, id};
+  if (size() * 4 > index_.size() * 3) grow_index();
   return id;
+}
+
+void PathPool::grow_index() {
+  std::vector<Slot> grown(index_.size() * 2);
+  const std::size_t mask = grown.size() - 1;
+  for (const Slot& slot : index_) {
+    if (slot.id == kNoPath) continue;
+    std::size_t i = slot.hash & mask;
+    while (grown[i].id != kNoPath) i = (i + 1) & mask;
+    grown[i] = slot;
+  }
+  index_ = std::move(grown);
 }
 
 }  // namespace bgpatoms::net

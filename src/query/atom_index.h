@@ -103,7 +103,7 @@ class AtomIndex {
   std::size_t vp_count() const { return num_vps_; }
   bgp::Timestamp timestamp() const { return timestamp_; }
 
-  /// AsPath::to_string() of the AtomRecord path id `id`.
+  /// PathView::to_string() of the AtomRecord path id `id`.
   std::string_view path_text(bgp::PathId id) const {
     return std::string_view(path_text_).substr(
         path_begin_[id], path_begin_[id + 1] - path_begin_[id]);

@@ -218,23 +218,20 @@ void Propagator::compute_pass(std::span<const RouteSource> sources,
   drain(RouteClass::kProvider, descend_ok);
 }
 
-net::AsPath Propagator::extract_path(const RouteTable& t,
-                                     NodeId node) const {
+void Propagator::append_path(const RouteTable& t, NodeId node,
+                             std::vector<net::Asn>& out) const {
   if (node >= t.cls.size() || t.cls[node] == RouteClass::kNone ||
       t.cls[node] == RouteClass::kSelf) {
-    return net::AsPath();
+    return;
   }
-  std::vector<net::Asn> hops;
-  hops.reserve(t.dist[node]);
   NodeId cur = node;
   while (t.cls[cur] != RouteClass::kSelf) {
     const NodeId p = t.parent[cur];
     assert(p != kNoNode);
-    const net::Asn asn = graph_.node(p).asn;
-    for (int i = 0; i <= t.edge_prepend[cur]; ++i) hops.push_back(asn);
+    out.insert(out.end(), std::size_t{t.edge_prepend[cur]} + 1,
+               graph_.node(p).asn);
     cur = p;
   }
-  return net::AsPath::sequence(std::move(hops));
 }
 
 }  // namespace bgpatoms::routing

@@ -107,12 +107,13 @@ class Propagator {
   void compute(topo::NodeId origin, const UnitPolicy* policy,
                RouteTable& out) const;
 
-  /// The AS path stored in `node`'s RIB for this run: wire order, nearest
-  /// hop first, origin last; the node's own ASN is NOT included. Empty if
-  /// unreachable or if `node` is an origin.
-  net::AsPath extract_path(const RouteTable& table, topo::NodeId node) const;
+  /// Appends the AS path stored in `node`'s RIB for this run to `out`:
+  /// wire order, nearest hop first, origin last; the node's own ASN is NOT
+  /// included. Appends nothing if unreachable or if `node` is an origin.
+  void append_path(const RouteTable& table, topo::NodeId node,
+                   std::vector<net::Asn>& out) const;
 
-  /// Hops (ASN entry count) of extract_path without building it.
+  /// Hops (ASN entry count) append_path would append.
   std::uint32_t path_length(const RouteTable& table, topo::NodeId node) const {
     return table.dist[node];
   }

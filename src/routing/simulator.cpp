@@ -421,10 +421,9 @@ void Simulator::compute_unit_group(NodeId origin,
   for (std::uint16_t i = 0; i < vps.size(); ++i) {
     const NodeId vn = vps[i].node;
     if (!scratch_table_.reachable(vn)) continue;
-    net::AsPath p = propagator_.extract_path(scratch_table_, vn);
-    p.prepend(topo_.graph.node(vn).asn, 1);  // the peer's own ASN leads
-    if (pol.as_set_mode != 0) p = apply_as_set(p, pol.as_set_mode);
-    paths.push_back({i, ds_.paths.intern(std::move(p))});
+    path_buf_.assign(1, topo_.graph.node(vn).asn);  // the peer's ASN leads
+    propagator_.append_path(scratch_table_, vn, path_buf_);
+    paths.push_back({i, intern_vp_path(pol.as_set_mode)});
   }
   for (UnitId u : group) {
     unit_paths_[u] = paths;
@@ -432,20 +431,18 @@ void Simulator::compute_unit_group(NodeId origin,
   }
 }
 
-net::AsPath Simulator::apply_as_set(const net::AsPath& path,
-                                    std::uint8_t mode) const {
+bgp::PathId Simulator::intern_vp_path(std::uint8_t as_set_mode) {
+  auto& hops = path_buf_;
+  if (as_set_mode == 0 || hops.size() < 3) return ds_.paths.intern(hops);
   // Route aggregation folded the path tail into an AS_SET (paper §2.4.4).
-  const auto hops = path.flat();
-  if (hops.size() < 3) return path;
-  std::vector<net::PathSegment> segs;
-  const std::size_t fold = mode == 1 ? 1 : 2;
-  segs.push_back({net::SegmentType::kSequence,
-                  {hops.begin(), hops.end() - fold}});
-  std::vector<net::Asn> tail(hops.end() - fold, hops.end());
-  std::sort(tail.begin(), tail.end());
-  tail.erase(std::unique(tail.begin(), tail.end()), tail.end());
-  segs.push_back({net::SegmentType::kSet, std::move(tail)});
-  return net::AsPath::from_segments(std::move(segs));
+  const auto head = static_cast<std::uint32_t>(
+      hops.size() - (as_set_mode == 1 ? 1 : 2));
+  std::sort(hops.begin() + head, hops.end());
+  hops.erase(std::unique(hops.begin() + head, hops.end()), hops.end());
+  const net::SegmentEnd layout[] = {
+      {net::SegmentType::kSequence, head},
+      {net::SegmentType::kSet, static_cast<std::uint32_t>(hops.size())}};
+  return ds_.paths.intern(hops, layout);
 }
 
 std::uint32_t Simulator::path_selection_length(bgp::PathId id) {
@@ -478,23 +475,29 @@ std::size_t Simulator::capture() {
     }
   }
 
+  // Resolve MOAS collisions the way a real router would: keep the route
+  // that wins best-path selection (shorter path, then lower path id). One
+  // slot per prefix id holds the index of its best record so far.
+  const auto rank = [this](const bgp::RibRecord& rec) {
+    return std::pair(path_selection_length(rec.path), rec.path);
+  };
+  constexpr std::uint32_t kNoRecord = UINT32_MAX;
+  std::vector<std::uint32_t> best(ds_.prefixes.size(), kNoRecord);
   for (std::uint16_t i = 0; i < vps.size(); ++i) {
     auto& rib = recs[i];
-    // Resolve MOAS collisions the way a real router would: keep the route
-    // that wins best-path selection (shorter path, then lower path id).
-    std::sort(rib.begin(), rib.end(),
-              [&](const bgp::RibRecord& a, const bgp::RibRecord& b) {
-                if (a.prefix != b.prefix) return a.prefix < b.prefix;
-                const auto la = path_selection_length(a.path);
-                const auto lb = path_selection_length(b.path);
-                if (la != lb) return la < lb;
-                return a.path < b.path;
-              });
-    rib.erase(std::unique(rib.begin(), rib.end(),
-                          [](const bgp::RibRecord& a, const bgp::RibRecord& b) {
-                            return a.prefix == b.prefix;
-                          }),
-              rib.end());
+    for (std::uint32_t r = 0; r < rib.size(); ++r) {
+      std::uint32_t& slot = best[rib[r].prefix];
+      if (slot == kNoRecord || rank(rib[r]) < rank(rib[slot])) slot = r;
+    }
+    // The winners, in ascending prefix order.
+    std::vector<bgp::RibRecord> kept;
+    kept.reserve(rib.size());
+    for (std::uint32_t& slot : best) {
+      if (slot == kNoRecord) continue;
+      kept.push_back(rib[slot]);
+      slot = kNoRecord;
+    }
+    rib = std::move(kept);
     inject_faults(i, rib);
 
     bgp::PeerFeed feed;
@@ -554,7 +557,7 @@ void Simulator::inject_faults(std::uint16_t vp_index,
 bgp::PathId Simulator::inject_private_asn(bgp::PathId id) {
   const auto it = private_asn_cache_.find(id);
   if (it != private_asn_cache_.end()) return it->second;
-  const auto hops = ds_.paths.get(id).flat();
+  const auto hops = ds_.paths.get(id).hops();
   std::vector<net::Asn> mangled;
   mangled.reserve(hops.size() + 1);
   if (!hops.empty()) {
@@ -562,7 +565,7 @@ bgp::PathId Simulator::inject_private_asn(bgp::PathId id) {
     mangled.push_back(65000);  // the paper's AS65000 signature
     mangled.insert(mangled.end(), hops.begin() + 1, hops.end());
   }
-  const bgp::PathId out = ds_.paths.intern(net::AsPath::sequence(mangled));
+  const bgp::PathId out = ds_.paths.intern(mangled);
   private_asn_cache_.emplace(id, out);
   return out;
 }
@@ -846,7 +849,7 @@ std::vector<UnitId> Simulator::leak_affected_units(NodeId leaker) const {
     if (policies_.units[u].prefixes.empty() || unit_suppressed_[u]) continue;
     if (policies_.units[u].origin == leaker) continue;
     for (const auto& entry : unit_paths_[u]) {
-      const auto hops = ds_.paths.get(entry.path).flat();
+      const auto hops = ds_.paths.get(entry.path).hops();
       if (std::find(hops.begin(), hops.end(), leaker_asn) != hops.end()) {
         out.push_back(u);
         break;

@@ -149,7 +149,9 @@ class Simulator {
   void refresh_unit_paths();
   void compute_unit_group(topo::NodeId origin,
                           const std::vector<UnitId>& group);
-  net::AsPath apply_as_set(const net::AsPath& path, std::uint8_t mode) const;
+  /// Interns path_buf_, with its tail folded into an AS_SET under a
+  /// nonzero `as_set_mode` (1: the origin, 2: the last two hops).
+  bgp::PathId intern_vp_path(std::uint8_t as_set_mode);
   std::uint32_t path_selection_length(bgp::PathId id);
   void inject_faults(std::uint16_t vp_index,
                      std::vector<bgp::RibRecord>& rib);
@@ -222,6 +224,7 @@ class Simulator {
 
   // caches / scratch
   RouteTable scratch_table_;
+  std::vector<net::Asn> path_buf_;  // one VP path: peer ASN, then RIB path
   std::vector<std::uint32_t> path_len_cache_;
   std::unordered_map<bgp::PathId, bgp::PathId> private_asn_cache_;
 };

@@ -63,7 +63,7 @@ std::optional<Record> RecordReader::next() {
     out.peer_asn = feed.peer.asn;
     out.peer_address = feed.peer.address;
     out.prefix = prefix;
-    out.path = &paths_.get(rec.path);
+    out.path = paths_.get(rec.path);
     out.communities = communities_.get(rec.communities);
     out.status = rec.status;
     ++count_;
@@ -111,7 +111,7 @@ std::optional<Record> RecordReader::next() {
     out.peer_asn = peer_asn;
     out.peer_address = peer_addr;
     out.prefix = prefix;
-    out.path = is_announce ? &paths_.get(u.path) : nullptr;
+    if (is_announce) out.path = paths_.get(u.path);
     out.communities = communities_.get(u.communities);
     ++count_;
     return out;

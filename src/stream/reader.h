@@ -35,8 +35,8 @@ struct Record {
   net::Asn peer_asn = 0;
   net::IpAddress peer_address;
   net::Prefix prefix;
-  /// nullptr for withdrawals.
-  const net::AsPath* path = nullptr;
+  /// Absent for withdrawals.
+  std::optional<net::PathView> path;
   std::span<const bgp::Community> communities;
   bgp::RecordStatus status = bgp::RecordStatus::kValid;
 };

@@ -2,7 +2,10 @@
 // prepending semantics and the AS_SET handling of §2.4.4.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "net/aspath.h"
+#include "net/rng.h"
 
 namespace bgpatoms::net {
 namespace {
@@ -187,6 +190,118 @@ TEST(PathPool, ManyPathsStayConsistent) {
     EXPECT_EQ(pool.intern(AsPath::sequence({a, a + 1, a + 2})), ids[a - 1]);
   }
   EXPECT_EQ(pool.size(), 501u);
+}
+
+TEST(PathPool, IdentityIsStructural) {
+  PathPool pool;
+  const auto seq = pool.intern(AsPath::sequence({1, 2}));
+  const auto set = pool.intern(*AsPath::parse("1 [2]"));
+  const auto split = pool.intern(AsPath::from_segments(
+      {{SegmentType::kSequence, {1}}, {SegmentType::kSequence, {2}}}));
+  EXPECT_NE(seq, set);
+  EXPECT_NE(seq, split);
+  EXPECT_NE(set, split);
+  EXPECT_EQ(pool.get(split).segments().size(), 2u);
+  // A one-segment sequence layout is the single-sequence path.
+  const Asn hops[] = {1, 2};
+  const SegmentEnd one[] = {{SegmentType::kSequence, 2}};
+  EXPECT_EQ(pool.intern(hops, one), seq);
+}
+
+// A random path from a small ASN alphabet, so that equal paths recur, in
+// the shapes the pool must keep apart: the empty path, long prepend runs,
+// AS_SETs at the head, middle and tail, singleton sets and two adjacent
+// AS_SEQUENCE segments.
+AsPath random_path(Rng& rng) {
+  const auto hops = [&](std::uint64_t max_len) {
+    std::vector<Asn> v(1 + rng.next_below(max_len));
+    for (auto& a : v) a = static_cast<Asn>(1 + rng.next_below(40));
+    return v;
+  };
+  const auto seq = SegmentType::kSequence;
+  const auto set = SegmentType::kSet;
+  switch (rng.next_below(8)) {
+    case 0:
+      return AsPath();
+    case 1: {
+      auto v = hops(4);
+      const Asn prepended = v[rng.next_below(v.size())];
+      const auto at = static_cast<std::ptrdiff_t>(rng.next_below(v.size()));
+      v.insert(v.begin() + at, 2 + rng.next_below(30), prepended);
+      return AsPath::sequence(v);
+    }
+    case 2:
+      return AsPath::from_segments({{set, hops(3)}, {seq, hops(4)}});
+    case 3:
+      return AsPath::from_segments({{seq, hops(3)}, {set, hops(3)}, {seq, hops(3)}});
+    case 4:
+      return AsPath::from_segments({{seq, hops(5)}, {set, hops(3)}});
+    case 5:
+      return AsPath::from_segments({{seq, hops(4)}, {set, hops(1)}, {seq, hops(2)}});
+    case 6:
+      return AsPath::from_segments({{seq, hops(3)}, {seq, hops(3)}});
+    default:
+      return AsPath::sequence(hops(6));
+  }
+}
+
+// Every intern entry point against a std::map reference: an AsPath, a span
+// with its layout, a view from another pool, a view from the same pool, a
+// sub-span of the pool's own hop arena and a layout from its own layout
+// arena. Ids are dense in first-intern order, so the reference id of a new
+// path is the map's size.
+TEST(PathPool, MatchesMapReference) {
+  PathPool pool;
+  PathPool other;
+  std::map<AsPath, PathPool::PathId> ref{{AsPath(), PathPool::kEmptyPathId}};
+  const auto expect_id = [&](const AsPath& path, PathPool::PathId got) {
+    const auto [it, inserted] =
+        ref.emplace(path, static_cast<PathPool::PathId>(ref.size()));
+    EXPECT_EQ(got, it->second) << path.to_string();
+  };
+
+  Rng rng(0x9a7b);
+  for (int round = 0; round < 4000; ++round) {
+    const AsPath path = random_path(rng);
+    expect_id(path, pool.intern(path));
+    const PathView view = path;
+    expect_id(path, pool.intern(view.hops(), view.layout()));
+    expect_id(path, pool.intern(other.get(other.intern(path))));
+    // The same hops as one AS_SEQUENCE: a set, or a seam between two
+    // sequences, must keep it a different path.
+    const AsPath merged = AsPath::sequence(path.flat());
+    expect_id(merged, pool.intern(merged));
+
+    const PathPool::PathId id = static_cast<PathPool::PathId>(
+        rng.next_below(pool.size()));
+    EXPECT_EQ(pool.intern(pool.get(id)), id);
+    // A tail of a stored path's hops, read from the arena the intern may
+    // grow and move.
+    const auto stored = pool.get(id).hops();
+    const auto tail = stored.subspan(rng.next_below(stored.size() + 1));
+    const AsPath want = AsPath::sequence({tail.begin(), tail.end()});
+    expect_id(want, pool.intern(tail));
+    // A stored path's layout over other hops: a new path whose layout
+    // the intern reads from the pool's own layout arena.
+    const PathView shape = pool.get(id);
+    std::vector<Asn> shifted(shape.hops().begin(), shape.hops().end());
+    for (auto& a : shifted) a += 1000;
+    const PathView reshaped(shifted, shape.layout());
+    const AsPath want_reshaped(reshaped);
+    expect_id(want_reshaped, pool.intern(reshaped));
+  }
+  // 4000 rounds store thousands of paths: the index doubled many times.
+  ASSERT_GT(ref.size(), 2000u);
+  ASSERT_EQ(pool.size(), ref.size());
+
+  PathPool copy = pool;
+  for (const auto& [path, id] : ref) {
+    EXPECT_EQ(AsPath(pool.get(id)), path) << "id " << id;
+    EXPECT_EQ(copy.intern(path), id) << path.to_string();
+  }
+  EXPECT_EQ(copy.size(), ref.size());
+  const AsPath fresh = AsPath::sequence({1000, 2000});
+  EXPECT_EQ(copy.intern(fresh), pool.intern(fresh));
 }
 
 }  // namespace

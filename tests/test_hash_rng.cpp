@@ -58,6 +58,39 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   EXPECT_EQ(a.value(), bgp::crc32(data));
 }
 
+// The bitwise CRC-32 loop the table version replaced: the reference the
+// slice-by-8 tables must reproduce.
+std::uint32_t bitwise_crc32(std::uint32_t value, const std::uint8_t* p,
+                            std::size_t len) {
+  std::uint32_t c = ~value;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (~(c & 1) + 1));
+  }
+  return ~c;
+}
+
+TEST(Crc32, MatchesBitwiseReference) {
+  Rng rng(0xc7c32);
+  for (int round = 0; round < 200; ++round) {
+    std::vector<std::uint8_t> buf(rng.next_below(300));
+    for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_below(256));
+    // Feed the buffer in random pieces so every alignment and tail length
+    // of the eight-byte step is hit.
+    bgp::Crc32 crc;
+    std::uint32_t want = 0;
+    std::size_t at = 0;
+    while (at < buf.size()) {
+      const std::size_t n = 1 + rng.next_below(buf.size() - at);
+      crc.update(buf.data() + at, n);
+      want = bitwise_crc32(want, buf.data() + at, n);
+      at += n;
+      ASSERT_EQ(crc.value(), want) << "round " << round << " at " << at;
+    }
+    EXPECT_EQ(bgp::crc32(buf), want) << "round " << round;
+  }
+}
+
 TEST(ByteIo, VarintRoundTripBoundaries) {
   bgp::ByteWriter w;
   const std::vector<std::uint64_t> values{

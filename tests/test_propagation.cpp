@@ -37,7 +37,9 @@ struct GraphBuilder {
 
 std::vector<net::Asn> path_at(const Propagator& prop, const RouteTable& t,
                               NodeId node) {
-  return prop.extract_path(t, node).flat();
+  std::vector<net::Asn> hops;
+  prop.append_path(t, node, hops);
+  return hops;
 }
 
 TEST(Propagation, LinearChainCustomerRoutes) {
@@ -55,7 +57,7 @@ TEST(Propagation, LinearChainCustomerRoutes) {
   EXPECT_EQ(table.cls[t], RouteClass::kCustomer);
   EXPECT_EQ(path_at(prop, table, p), (std::vector<net::Asn>{10}));
   EXPECT_EQ(path_at(prop, table, t), (std::vector<net::Asn>{20, 10}));
-  EXPECT_TRUE(prop.extract_path(table, o).empty());
+  EXPECT_TRUE(path_at(prop, table, o).empty());
 }
 
 TEST(Propagation, ProviderRoutesDescend) {
@@ -307,7 +309,7 @@ TEST(Propagation, UnreachableWithoutEdges) {
   RouteTable table;
   prop.compute(o, nullptr, table);
   EXPECT_FALSE(table.reachable(island));
-  EXPECT_TRUE(prop.extract_path(table, island).empty());
+  EXPECT_TRUE(path_at(prop, table, island).empty());
 }
 
 TEST(Propagation, PeerOnlyAnnouncementVisibilityScope) {
@@ -348,7 +350,7 @@ TEST(Propagation, DistMatchesExtractedPathLength) {
   RouteTable table;
   prop.compute(o, &pol, table);
   for (NodeId n : {p, t, v}) {
-    EXPECT_EQ(table.dist[n], prop.extract_path(table, n).flat().size()) << n;
+    EXPECT_EQ(table.dist[n], path_at(prop, table, n).size()) << n;
   }
 }
 

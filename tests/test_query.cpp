@@ -191,24 +191,32 @@ TEST(AtomIndex, IPv6HostAndDefaultRoutes) {
   }
 }
 
-/// Three peers, four prefixes in three atoms (one of size 2).
+/// Three peers, six prefixes in five atoms (one of size 2). 10.4/16 is
+/// reached over prepended paths and 10.5/16 over singleton AS_SETs that
+/// sanitize expands.
 DatasetBuilder three_peer_dataset() {
   DatasetBuilder b;
   b.peer(100)
       .route("10.0.0.0/16", "100 1")
       .route("10.1.0.0/16", "100 1")
       .route("10.2.0.0/16", "100 2")
-      .route("10.3.0.0/16", "100 3 1");
+      .route("10.3.0.0/16", "100 3 1")
+      .route("10.4.0.0/16", "100 100 4 4 1")
+      .route("10.5.0.0/16", "100 [7] 1");
   b.peer(200)
       .route("10.0.0.0/16", "200 1")
       .route("10.1.0.0/16", "200 1")
       .route("10.2.0.0/16", "200 2")
-      .route("10.3.0.0/16", "200 3 1");
+      .route("10.3.0.0/16", "200 3 1")
+      .route("10.4.0.0/16", "200 4 1")
+      .route("10.5.0.0/16", "200 7 1");
   b.peer(300)
       .route("10.0.0.0/16", "300 1")
       .route("10.1.0.0/16", "300 1")
       .route("10.2.0.0/16", "300 2")
-      .route("10.3.0.0/16", "300 1");
+      .route("10.3.0.0/16", "300 1")
+      .route("10.4.0.0/16", "300 4 4 4 1")
+      .route("10.5.0.0/16", "300 [7] 1");
   return b;
 }
 
@@ -242,6 +250,21 @@ TEST(AtomIndex, BatchBuildIsBitIdenticalToComputeAtoms) {
   EXPECT_EQ(idx.atom(static_cast<std::uint32_t>(atoms.atoms.size())), nullptr);
   EXPECT_EQ(idx.atom(AtomIndex::kNoAtom), nullptr);
   EXPECT_EQ(index_paths(idx), batch_paths(atoms));
+
+  // Both helpers render through PathView::to_string, so pin the text
+  // itself: prepending kept, singleton sets expanded.
+  const auto texts = [&](const char* address) {
+    std::vector<std::string> out;
+    for (const auto& [vp, pid] : idx.atom(idx.lookup(addr(address))->atom)->paths) {
+      out.push_back(std::to_string(vp) + ":" + std::string(idx.path_text(pid)));
+    }
+    return out;
+  };
+  EXPECT_EQ(texts("10.4.0.1"), (std::vector<std::string>{
+                                   "0:100 100 4 4 1", "1:200 4 1",
+                                   "2:300 4 4 4 1"}));
+  EXPECT_EQ(texts("10.5.0.1"),
+            (std::vector<std::string>{"0:100 7 1", "1:200 7 1", "2:300 7 1"}));
 }
 
 /// Two captures: at t=100 the {10.0, 10.1} atom splits at peer 100 while

@@ -30,6 +30,13 @@ struct GraphBuilder {
   void peer(NodeId a, NodeId b) { g.add_edge(a, b, Rel::kPeer); }
 };
 
+std::vector<net::Asn> path_at(const Propagator& prop, const RouteTable& t,
+                              NodeId node) {
+  std::vector<net::Asn> hops;
+  prop.append_path(t, node, hops);
+  return hops;
+}
+
 // --- make_subprefix --------------------------------------------------------
 
 TEST(Scenario, MakeSubprefixHalvesV4) {
@@ -127,7 +134,7 @@ TEST(Scenario, MultiOriginNodesPickTheNearerSource) {
   EXPECT_EQ(t.source[o2], 1);
   EXPECT_EQ(t.source[m1], 0) << "m1 is adjacent to o1";
   EXPECT_EQ(t.source[m2], 1) << "m2 is adjacent to o2";
-  EXPECT_EQ(prop.extract_path(t, m2).flat(), (std::vector<net::Asn>{40}));
+  EXPECT_EQ(path_at(prop, t, m2), (std::vector<net::Asn>{40}));
 }
 
 TEST(Scenario, RovDropsInvalidSourceAtValidatingNodes) {
@@ -172,8 +179,7 @@ TEST(Scenario, RouteLeakReExportsToProviders) {
   ASSERT_TRUE(t.reachable(t2));
   EXPECT_EQ(t.cls[t2], RouteClass::kCustomer)
       << "the leaked route arrives as if customer-learned";
-  EXPECT_EQ(prop.extract_path(t, t2).flat(),
-            (std::vector<net::Asn>{30, 20, 10}));
+  EXPECT_EQ(path_at(prop, t, t2), (std::vector<net::Asn>{30, 20, 10}));
   // The leaker's own route is pinned from the first pass: no self-loop.
   EXPECT_EQ(t.cls[leaker], RouteClass::kProvider);
 }

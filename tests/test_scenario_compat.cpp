@@ -71,9 +71,11 @@ report::json::Value canonicalize(const report::json::Value& v) {
 }
 
 std::uint64_t campaign_digest(const topo::EraParams& era, std::uint64_t seed,
-                              bool with_updates) {
+                              bool with_updates,
+                              routing::ScenarioOptions scenario = {}) {
   routing::SimOptions opt;
   opt.seed = seed;
+  opt.scenario = scenario;
   routing::Simulator sim(topo::generate_topology(era, seed), opt);
   sim.capture();
   if (with_updates) sim.emit_updates(4 * routing::kHour);
@@ -95,6 +97,25 @@ TEST(ScenarioCompat, SimulatorArchiveDigest) {
             7611315610023903196ull);
   EXPECT_EQ(campaign_digest(topo::era_params_v6(2014.0, 0.03), 5, true),
             2113291365971392245ull);
+}
+
+// Scenarios on: origin and sub-prefix hijacks, a route leak and ROV. MOAS
+// prefixes put two routes for one prefix into a VP's list, and the
+// incidents change which routes compete, so this pins the route capture
+// keeps (shortest selection length, then lowest path id) along with the
+// incident machinery. Captured before capture's MOAS pass became linear.
+TEST(ScenarioCompat, ScenarioArchiveDigest) {
+  routing::ScenarioOptions scenario;
+  scenario.origin_hijacks = 2;
+  scenario.subprefix_hijacks = 2;
+  scenario.route_leaks = 1;
+  scenario.rov = true;
+  EXPECT_EQ(campaign_digest(topo::era_params_v4(2024.75, 0.02), 11, true,
+                            scenario),
+            7867447956161940888ull);
+  EXPECT_EQ(campaign_digest(topo::era_params_v6(2020.0, 0.03), 5, true,
+                            scenario),
+            15494891475294311347ull);
 }
 
 // Canonicalized bga_bench --json digest over a subset spanning general

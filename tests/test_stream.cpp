@@ -78,7 +78,7 @@ TEST(RecordReader, RibRecordContent) {
   EXPECT_EQ(rec->collector, "rrc00");
   EXPECT_EQ(rec->peer_asn, 64496u);
   EXPECT_EQ(rec->prefix, *net::Prefix::parse("8.8.8.0/24"));
-  ASSERT_NE(rec->path, nullptr);
+  ASSERT_TRUE(rec->path.has_value());
   EXPECT_EQ(rec->path->to_string(), "64496 15169");
   EXPECT_EQ(rec->timestamp, 1000);
 }
@@ -91,7 +91,7 @@ TEST(RecordReader, WithdrawalHasNoPath) {
   const auto recs = drain(reader);
   ASSERT_EQ(recs.size(), 3u);
   EXPECT_EQ(recs[2].type, RecordType::kWithdrawal);
-  EXPECT_EQ(recs[2].path, nullptr);
+  EXPECT_FALSE(recs[2].path.has_value());
 }
 
 TEST(RecordReader, CollectorFilter) {
@@ -230,7 +230,7 @@ void expect_same_records(const std::vector<Record>& mem,
     EXPECT_EQ(mem[i].peer_asn, file[i].peer_asn) << "record " << i;
     EXPECT_EQ(mem[i].peer_address, file[i].peer_address) << "record " << i;
     EXPECT_EQ(mem[i].prefix, file[i].prefix) << "record " << i;
-    EXPECT_EQ(mem[i].path == nullptr, file[i].path == nullptr) << i;
+    EXPECT_EQ(mem[i].path.has_value(), file[i].path.has_value()) << i;
     if (mem[i].path && file[i].path) {
       EXPECT_EQ(*mem[i].path, *file[i].path) << "record " << i;
     }
