@@ -19,15 +19,19 @@ struct Variant {
   core::SanitizeConfig config;
 };
 
-void run(Context& ctx) {
-  const double scale = ctx.scale(0.03);
-  ctx.note_scale(scale);
-
+/// The campaigns run() requests, in request order.
+std::vector<core::CampaignConfig> campaigns(const Context& ctx) {
   // 2021: the ADD-PATH-broken peers AND the private-ASN injector are live.
   core::CampaignConfig base;
   base.year = 2021.5;
-  base.scale = scale;
+  base.scale = ctx.scale(0.03);
   base.seed = ctx.seed(42);
+  return {base};
+}
+
+void run(Context& ctx) {
+  const auto base = campaigns(ctx).front();
+  ctx.note_scale(base.scale);
   const auto& campaign = ctx.campaign(base);
   const auto& ds = campaign.dataset();
 
@@ -94,7 +98,8 @@ void run(Context& ctx) {
 
 void register_ablation_sanitizer(Registry& registry) {
   registry.add({"ablation_sanitizer", "§2.4", "Ablation (sanitizer)",
-                "Contribution of each sanitization step (era 2021)", run});
+                "Contribution of each sanitization step (era 2021)", run,
+                campaigns});
 }
 
 }  // namespace bgpatoms::bench

@@ -12,14 +12,18 @@
 namespace bgpatoms::bench {
 namespace {
 
-void run(Context& ctx) {
-  const double scale = ctx.scale(0.02);
-  ctx.note_scale(scale);
-
+/// The campaigns run() requests, in request order.
+std::vector<core::CampaignConfig> campaigns(const Context& ctx) {
   core::CampaignConfig config;
   config.year = 2024.75;
-  config.scale = scale;
+  config.scale = ctx.scale(0.02);
   config.seed = ctx.seed(42);
+  return {config};
+}
+
+void run(Context& ctx) {
+  const auto config = campaigns(ctx).front();
+  ctx.note_scale(config.scale);
   const auto& campaign = ctx.campaign(config);
   const auto& full_ds = campaign.dataset();
   const std::size_t total_peers = full_ds.snapshots[0].peers.size();
@@ -67,7 +71,8 @@ void run(Context& ctx) {
 
 void register_ablation_vps(Registry& registry) {
   registry.add({"ablation_vps", "§4.5", "Ablation (vantage points)",
-                "Atom count vs number of vantage points (2024 era)", run});
+                "Atom count vs number of vantage points (2024 era)", run,
+                campaigns});
 }
 
 }  // namespace bgpatoms::bench

@@ -59,10 +59,26 @@ constexpr std::size_t kMinUpdatesForCurveCheck = 40;
 /// Below the floor, trend checks assert the tail holds near flat instead.
 constexpr std::size_t kMinAtomsForDistanceTrendCheck = 5000;
 
+/// The §4 campaigns of Jan 2004 and Oct 2024 (paper seed 42) at base
+/// scales `scale04` and `scale24`, with `config`'s capture options.
+/// table1, table2 and fig02 plan the identical pair, so a run builds it
+/// once.
+inline std::vector<core::CampaignConfig> pair_2004_2024(
+    const Context& ctx, double scale04, double scale24,
+    core::CampaignConfig config = {}) {
+  config.seed = ctx.seed(42);
+  config.year = 2004.0;
+  config.scale = ctx.scale(scale04);
+  core::CampaignConfig c2024 = config;
+  c2024.year = 2024.75;
+  c2024.scale = ctx.scale(scale24);
+  return {config, c2024};
+}
+
 /// The §3 reproduction input: snapshot of 2002-01-15 08:00 UTC, RIS
 /// collector RRC00 only, 13 full-feed peers, no prefix-length filtering
-/// (§3.1.4). Shared verbatim by fig01/fig14/fig15/table6/repro2002, so
-/// the campaign cache materializes the base snapshot once per run.
+/// (§3.1.4). fig01, fig14 and repro2002 plan it verbatim, so a run builds
+/// that snapshot once.
 inline core::CampaignConfig repro_2002_config(const Context& ctx) {
   core::CampaignConfig config;
   config.year = 2002.04;  // mid-January 2002
@@ -77,6 +93,11 @@ inline core::CampaignConfig repro_2002_config(const Context& ctx) {
   config.sanitize.min_collectors = 1;
   config.sanitize.min_peer_ases = 1;
   return config;
+}
+
+/// Plan of an experiment whose one campaign is repro_2002_config.
+inline std::vector<core::CampaignConfig> repro_2002_plan(const Context& ctx) {
+  return {repro_2002_config(ctx)};
 }
 
 /// The §A8.2 biennial grid (2004, 2006, ..., 2024): one sweep job per

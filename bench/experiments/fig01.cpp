@@ -69,7 +69,8 @@ void run(Context& ctx) {
 
 void register_fig01(Registry& registry) {
   registry.add({"fig01", "§3.4.3", "Figure 1",
-                "Formation distance, method (iii) vs method (ii), 2002", run});
+                "Formation distance, method (iii) vs method (ii), 2002", run,
+                repro_2002_plan});
 }
 
 }  // namespace bgpatoms::bench

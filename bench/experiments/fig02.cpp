@@ -15,18 +15,16 @@ void add_cdf_table(Context& ctx, const char* id, const char* label,
   }
 }
 
-void run(Context& ctx) {
-  const double scale04 = ctx.scale(0.05), scale24 = ctx.scale(0.03);
-  ctx.note_scale(scale04);
+/// The campaigns run() requests, in request order.
+std::vector<core::CampaignConfig> campaigns(const Context& ctx) {
+  return pair_2004_2024(ctx, 0.05, 0.03);
+}
 
-  core::CampaignConfig config;
-  config.seed = ctx.seed(42);
-  config.year = 2004.0;
-  config.scale = scale04;
-  const auto& c2004 = ctx.campaign(config);
-  config.year = 2024.75;
-  config.scale = scale24;
-  const auto& c2024 = ctx.campaign(config);
+void run(Context& ctx) {
+  const auto configs = campaigns(ctx);
+  ctx.note_scale(configs[0].scale);
+  const auto& c2004 = ctx.campaign(configs[0]);
+  const auto& c2024 = ctx.campaign(configs[1]);
 
   const auto a04 = core::atoms_per_as_cdf(c2004.atoms());
   const auto a24 = core::atoms_per_as_cdf(c2024.atoms());
@@ -51,7 +49,8 @@ void run(Context& ctx) {
 
 void register_fig02(Registry& registry) {
   registry.add({"fig02", "§4.1", "Figure 2",
-                "Atoms per AS and prefixes per atom, 2004 vs 2024", run});
+                "Atoms per AS and prefixes per atom, 2004 vs 2024", run,
+                campaigns});
 }
 
 }  // namespace bgpatoms::bench

@@ -30,19 +30,18 @@ void add_panel(Context& ctx, const char* id, const char* title,
   line("AS (with all single-prefix atoms)", corr.as_single);
 }
 
-void run(Context& ctx) {
-  const double scale04 = ctx.scale(0.04), scale24 = ctx.scale(0.015);
-  ctx.note_scale(scale24);
-
+/// The campaigns run() requests, in request order.
+std::vector<core::CampaignConfig> campaigns(const Context& ctx) {
   core::CampaignConfig config;
-  config.seed = ctx.seed(42);
   config.with_updates = true;
-  config.year = 2004.0;
-  config.scale = scale04;
-  const auto& c2004 = ctx.campaign(config);
-  config.year = 2024.75;
-  config.scale = scale24;
-  const auto& c2024 = ctx.campaign(config);
+  return pair_2004_2024(ctx, 0.04, 0.015, config);
+}
+
+void run(Context& ctx) {
+  const auto configs = campaigns(ctx);
+  ctx.note_scale(configs[1].scale);
+  const auto& c2004 = ctx.campaign(configs[0]);
+  const auto& c2024 = ctx.campaign(configs[1]);
 
   add_panel(ctx, "y2004", "Year 2004:", *c2004.correlation);
   add_panel(ctx, "y2024", "Year 2024:", *c2024.correlation);
@@ -87,7 +86,8 @@ void run(Context& ctx) {
 
 void register_fig03(Registry& registry) {
   registry.add({"fig03", "§4.2", "Figure 3",
-                "Atoms vs ASes seen in full within one BGP update", run});
+                "Atoms vs ASes seen in full within one BGP update", run,
+                campaigns});
 }
 
 }  // namespace bgpatoms::bench

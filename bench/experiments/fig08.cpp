@@ -8,19 +8,24 @@
 namespace bgpatoms::bench {
 namespace {
 
-void run(Context& ctx) {
-  const double s_v4 = ctx.scale(0.03), s_v6 = ctx.scale(0.06);
-  ctx.note_scale(s_v6);
+/// The campaigns run() requests, in request order.
+std::vector<core::CampaignConfig> campaigns(const Context& ctx) {
+  core::CampaignConfig v4;
+  v4.seed = ctx.seed(42);
+  v4.year = 2024.75;
+  v4.family = net::Family::kIPv4;
+  v4.scale = ctx.scale(0.03);
+  core::CampaignConfig v6 = v4;
+  v6.family = net::Family::kIPv6;
+  v6.scale = ctx.scale(0.06);
+  return {v4, v6};
+}
 
-  core::CampaignConfig config;
-  config.seed = ctx.seed(42);
-  config.year = 2024.75;
-  config.family = net::Family::kIPv4;
-  config.scale = s_v4;
-  const auto& v4 = ctx.campaign(config);
-  config.family = net::Family::kIPv6;
-  config.scale = s_v6;
-  const auto& v6 = ctx.campaign(config);
+void run(Context& ctx) {
+  const auto configs = campaigns(ctx);
+  ctx.note_scale(configs[1].scale);
+  const auto& v4 = ctx.campaign(configs[0]);
+  const auto& v6 = ctx.campaign(configs[1]);
 
   const auto a4 = core::atoms_per_as_cdf(v4.atoms());
   const auto a6 = core::atoms_per_as_cdf(v6.atoms());
@@ -48,7 +53,7 @@ void run(Context& ctx) {
 
 void register_fig08(Registry& registry) {
   registry.add({"fig08", "§5.1", "Figure 8",
-                "IPv4 vs IPv6 atom distributions (2024)", run});
+                "IPv4 vs IPv6 atom distributions (2024)", run, campaigns});
 }
 
 }  // namespace bgpatoms::bench

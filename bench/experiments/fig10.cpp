@@ -7,16 +7,20 @@
 namespace bgpatoms::bench {
 namespace {
 
-void run(Context& ctx) {
-  const double scale = ctx.scale(0.05);
-  ctx.note_scale(scale);
-
+/// The campaigns run() requests, in request order.
+std::vector<core::CampaignConfig> campaigns(const Context& ctx) {
   core::CampaignConfig config;
   config.family = net::Family::kIPv6;
   config.year = 2024.75;
-  config.scale = scale;
+  config.scale = ctx.scale(0.05);
   config.seed = ctx.seed(42);
   config.with_updates = true;
+  return {config};
+}
+
+void run(Context& ctx) {
+  const auto config = campaigns(ctx).front();
+  ctx.note_scale(config.scale);
   const auto& c = ctx.campaign(config);
   const auto& corr = *c.correlation;
 
@@ -54,7 +58,8 @@ void run(Context& ctx) {
 
 void register_fig10(Registry& registry) {
   registry.add({"fig10", "§5.3", "Figure 10",
-                "IPv6 atoms vs ASes seen in full in one update (2024)", run});
+                "IPv6 atoms vs ASes seen in full in one update (2024)", run,
+                campaigns});
 }
 
 }  // namespace bgpatoms::bench

@@ -37,7 +37,8 @@ void run(Context& ctx) {
 
 void register_fig14(Registry& registry) {
   registry.add({"fig14", "§A8.4.1", "Figure 14",
-                "2002 CDFs: atoms/AS, prefixes/atom, prefixes/AS", run});
+                "2002 CDFs: atoms/AS, prefixes/atom, prefixes/AS", run,
+                repro_2002_plan});
 }
 
 }  // namespace bgpatoms::bench

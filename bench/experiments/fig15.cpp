@@ -8,9 +8,15 @@
 namespace bgpatoms::bench {
 namespace {
 
-void run(Context& ctx) {
+/// The campaigns run() requests, in request order.
+std::vector<core::CampaignConfig> campaigns(const Context& ctx) {
   auto config = repro_2002_config(ctx);
   config.with_updates = true;
+  return {config};
+}
+
+void run(Context& ctx) {
+  const auto config = campaigns(ctx).front();
   ctx.note_scale(config.scale);
   const auto& c = ctx.campaign(config);
   const auto& corr = *c.correlation;
@@ -49,7 +55,8 @@ void run(Context& ctx) {
 
 void register_fig15(Registry& registry) {
   registry.add({"fig15", "§A8.4.2", "Figure 15",
-                "2002 atoms vs ASes seen in full in one update", run});
+                "2002 atoms vs ASes seen in full in one update", run,
+                campaigns});
 }
 
 }  // namespace bgpatoms::bench

@@ -76,14 +76,18 @@ bool identical(const core::AtomSet& a, const core::AtomSet& b) {
          a.atoms_by_origin == b.atoms_by_origin;
 }
 
-void run(Context& ctx) {
-  const double scale = ctx.scale(0.02);
-  ctx.note_scale(scale);
-
+/// The campaigns run() requests, in request order.
+std::vector<core::CampaignConfig> campaigns(const Context& ctx) {
   core::CampaignConfig config;
   config.year = 2024.75;
-  config.scale = scale;
+  config.scale = ctx.scale(0.02);
   config.seed = ctx.seed(4242);
+  return {config};
+}
+
+void run(Context& ctx) {
+  const auto config = campaigns(ctx).front();
+  ctx.note_scale(config.scale);
   const auto& snap = ctx.campaign(config).sanitized.front();
 
   const auto stream = make_stream(snap);
@@ -219,7 +223,7 @@ void register_perf_incremental(Registry& registry) {
   registry.add({"perf_incremental", "perf", "Perf (incremental atoms)",
                 "IncrementalAtoms: maintained partition vs per-boundary "
                 "recompute",
-                run});
+                run, campaigns});
 }
 
 }  // namespace bgpatoms::bench

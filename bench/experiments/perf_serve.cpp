@@ -113,15 +113,19 @@ double percentile_ns(std::vector<std::uint64_t>& ns, double p) {
   return static_cast<double>(ns[k]);
 }
 
-void run(Context& ctx) {
-  const double scale = ctx.scale(0.02);
-  ctx.note_scale(scale);
-
+/// The campaigns run() requests, in request order.
+std::vector<core::CampaignConfig> campaigns(const Context& ctx) {
   core::CampaignConfig config;
   config.year = 2024.75;
-  config.scale = scale;
+  config.scale = ctx.scale(0.02);
   config.seed = ctx.seed(7700);
   config.with_stability = true;  // 4 snapshots: history/equiv have depth
+  return {config};
+}
+
+void run(Context& ctx) {
+  const auto config = campaigns(ctx).front();
+  ctx.note_scale(config.scale);
   const auto& campaign = ctx.campaign(config);
 
   // Freeze every captured snapshot's batch atoms into the query layer.
@@ -243,7 +247,7 @@ void run(Context& ctx) {
 void register_perf_serve(Registry& registry) {
   registry.add({"perf_serve", "perf", "Perf (query serving)",
                 "ServeState::handle: randomized query mix, p50/p99 + QPS",
-                run});
+                run, campaigns});
 }
 
 }  // namespace bgpatoms::bench

@@ -3,8 +3,8 @@
 // two result vectors. On a 4+ core machine the pooled run should be >=2x
 // faster; on fewer cores the check still validates determinism.
 //
-// Deliberately bypasses the campaign cache: both sweeps must actually
-// execute for the timing and the bit-identity comparison to mean anything.
+// Deliberately plans no campaign: both sweeps must actually execute for
+// the timing and the bit-identity comparison to mean anything.
 #include <chrono>
 
 #include "core/parallel.h"

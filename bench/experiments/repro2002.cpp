@@ -46,7 +46,8 @@ void run(Context& ctx) {
 
 void register_repro2002(Registry& registry) {
   registry.add({"repro2002", "§3.2", "Repro 2002",
-                "Reproduced 2002 general statistics (RRC00, 13 peers)", run});
+                "Reproduced 2002 general statistics (RRC00, 13 peers)", run,
+                repro_2002_plan});
 }
 
 }  // namespace bgpatoms::bench

@@ -9,45 +9,62 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/parallel.h"
 #include "experiments/common.h"
 #include "experiments/experiments.h"
 
 namespace bgpatoms::bench {
 namespace {
 
-/// Order- and pool-independent signature of one RIB record: the peer
-/// session, the prefix id (stable across the two runs — overlay prefixes
-/// are appended after the shared base plan) and the AS-level path. Path
-/// ids are NOT comparable across runs (the scenario run interns attacker
-/// paths mid-campaign), so the path is hashed by content.
-std::uint64_t record_signature(const bgp::Dataset& ds,
-                               const bgp::PeerIdentity& peer,
-                               const bgp::RibRecord& rec) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(peer.asn);
-  mix(peer.collector);
-  mix(peer.address.hi());
-  mix(peer.address.lo());
-  mix(rec.prefix);
-  for (const auto& run : ds.paths.get(rec.path).runs_from_origin()) {
-    mix(run.asn);
-    mix(run.count);
-  }
-  return h;
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+
+void mix(std::uint64_t& h, std::uint64_t v) {
+  h ^= v;
+  h *= 1099511628211ull;
 }
 
-std::vector<std::uint64_t> snapshot_signature(const bgp::Dataset& ds,
-                                              std::size_t snapshot) {
+/// One content hash per path id of the path's origin-first AS runs. Path
+/// ids are NOT comparable across runs (the scenario run interns attacker
+/// paths mid-campaign), so records compare paths through this hash.
+std::vector<std::uint64_t> path_run_hashes(const bgp::Dataset& ds) {
+  std::vector<std::uint64_t> out(ds.paths.size());
+  for (std::size_t id = 0; id < out.size(); ++id) {
+    const auto hops = ds.paths.get(static_cast<net::PathPool::PathId>(id))
+                          .hops();
+    std::uint64_t h = kFnvOffset;
+    for (std::size_t end = hops.size(); end > 0;) {
+      std::size_t begin = end - 1;
+      while (begin > 0 && hops[begin - 1] == hops[end - 1]) --begin;
+      mix(h, hops[end - 1]);
+      mix(h, end - begin);
+      end = begin;
+    }
+    out[id] = h;
+  }
+  return out;
+}
+
+/// Sorted order- and pool-independent signatures of the RIB records in
+/// `snapshot`: the peer session, the prefix id (stable across the two
+/// runs — overlay prefixes are appended after the shared base plan) and
+/// the path's run hash from path_run_hashes.
+std::vector<std::uint64_t> snapshot_signature(
+    const bgp::Dataset& ds, const std::vector<std::uint64_t>& path_hash,
+    std::size_t snapshot) {
   std::vector<std::uint64_t> sig;
   const bgp::Snapshot& snap = ds.snapshots[snapshot];
   sig.reserve(bgp::Dataset::record_count(snap));
   for (const auto& feed : snap.peers) {
+    std::uint64_t peer = kFnvOffset;
+    mix(peer, feed.peer.asn);
+    mix(peer, feed.peer.collector);
+    mix(peer, feed.peer.address.hi());
+    mix(peer, feed.peer.address.lo());
     for (const auto& rec : feed.records) {
-      sig.push_back(record_signature(ds, feed.peer, rec));
+      std::uint64_t h = peer;
+      mix(h, rec.prefix);
+      mix(h, path_hash[rec.path]);
+      sig.push_back(h);
     }
   }
   std::sort(sig.begin(), sig.end());
@@ -72,16 +89,23 @@ std::size_t differing_records(const std::vector<std::uint64_t>& a,
   return diff + (a.size() - i) + (b.size() - j);
 }
 
-/// RIB records in `snapshot` whose AS path originates at `asn`.
-std::size_t records_with_origin(const bgp::Dataset& ds, std::size_t snapshot,
-                                net::Asn asn) {
-  std::size_t n = 0;
+/// RIB records in `snapshot` per origin AS, for each AS of the sorted
+/// `asns`, in one pass.
+std::vector<std::size_t> records_by_origin(const bgp::Dataset& ds,
+                                           std::size_t snapshot,
+                                           const std::vector<net::Asn>& asns) {
+  std::vector<std::size_t> counts(asns.size());
   for (const auto& feed : ds.snapshots[snapshot].peers) {
     for (const auto& rec : feed.records) {
-      if (ds.paths.get(rec.path).origin() == asn) ++n;
+      const auto origin = ds.paths.get(rec.path).origin();
+      if (!origin) continue;
+      const auto it = std::lower_bound(asns.begin(), asns.end(), *origin);
+      if (it != asns.end() && *it == *origin) {
+        ++counts[static_cast<std::size_t>(it - asns.begin())];
+      }
     }
   }
-  return n;
+  return counts;
 }
 
 const char* kind_name(routing::ScenarioKind kind) {
@@ -93,21 +117,29 @@ const char* kind_name(routing::ScenarioKind kind) {
   return "?";
 }
 
-void run(Context& ctx) {
+/// The baseline campaign, then the same campaign with the scheduled
+/// incidents.
+std::vector<core::CampaignConfig> campaigns(const Context& ctx) {
   core::CampaignConfig config;
   config.year = 2020.0;
   config.scale = ctx.scale(0.08);
   config.seed = ctx.seed(2077);
   config.with_stability = true;  // captures at t0 / +8h / +24h / +1w
-  ctx.note_scale(config.scale);
 
   core::CampaignConfig attacked = config;
   attacked.scenario.origin_hijacks = 2;
   attacked.scenario.subprefix_hijacks = 2;
   attacked.scenario.route_leaks = 1;
+  return {config, attacked};
+}
 
-  const core::Campaign& base = ctx.campaign(config);
-  const core::Campaign& scen = ctx.campaign(attacked);
+void run(Context& ctx) {
+  const auto configs = campaigns(ctx);
+  ctx.note_scale(configs[0].scale);
+  const core::Campaign& base = ctx.campaign(configs[0]);
+  const core::Campaign& scen = ctx.campaign(configs[1]);
+  const bgp::Dataset* datasets[] = {&base.dataset(), &scen.dataset()};
+  core::TaskPool& pool = *ctx.sweep_options().pool;
   ctx.note("Same seed, same topology: the only difference between the two "
            "campaigns is the scheduled incidents.");
 
@@ -152,12 +184,18 @@ void run(Context& ctx) {
       "captures", "RIB capture vs the scenario-free baseline",
       {"capture", "baseline records", "scenario records", "differing"});
   std::size_t diffs[4] = {};
+  std::vector<std::uint64_t> path_hash[2];
+  pool.run(2, [&](std::size_t i) {
+    path_hash[i] = path_run_hashes(*datasets[i]);
+  });
   for (std::size_t s = 0; s < 4; ++s) {
-    const auto base_sig = snapshot_signature(base.dataset(), s);
-    const auto scen_sig = snapshot_signature(scen.dataset(), s);
-    diffs[s] = differing_records(base_sig, scen_sig);
-    captures.add_row({capture_names[s], std::to_string(base_sig.size()),
-                      std::to_string(scen_sig.size()),
+    std::vector<std::uint64_t> sig[2];
+    pool.run(2, [&](std::size_t i) {
+      sig[i] = snapshot_signature(*datasets[i], path_hash[i], s);
+    });
+    diffs[s] = differing_records(sig[0], sig[1]);
+    captures.add_row({capture_names[s], std::to_string(sig[0].size()),
+                      std::to_string(sig[1].size()),
                       std::to_string(diffs[s])});
   }
   ctx.add_check(Check::that(
@@ -174,16 +212,27 @@ void run(Context& ctx) {
   // At +8h every hijack is live: the attacker's ASN must originate more
   // RIB records than it does in the baseline (where it only originates
   // its own prefixes). At +1w the counts must match again.
+  std::vector<net::Asn> attackers;
+  for (const auto& inc : scen.incidents) {
+    if (inc.kind == routing::ScenarioKind::kRouteLeak) continue;
+    attackers.push_back(scen.topology.graph.node(inc.actor).asn);
+  }
+  std::sort(attackers.begin(), attackers.end());
+  attackers.erase(std::unique(attackers.begin(), attackers.end()),
+                  attackers.end());
+  const auto base_8h = records_by_origin(base.dataset(), 1, attackers);
+  const auto seen_8h = records_by_origin(scen.dataset(), 1, attackers);
+  const auto base_1w = records_by_origin(base.dataset(), 3, attackers);
+  const auto seen_1w = records_by_origin(scen.dataset(), 3, attackers);
   std::size_t extra_8h = 0, extra_1w = 0;
   for (const auto& inc : scen.incidents) {
     if (inc.kind == routing::ScenarioKind::kRouteLeak) continue;
     const net::Asn asn = scen.topology.graph.node(inc.actor).asn;
-    const std::size_t base_8h = records_with_origin(base.dataset(), 1, asn);
-    const std::size_t seen_8h = records_with_origin(scen.dataset(), 1, asn);
-    extra_8h += seen_8h > base_8h ? seen_8h - base_8h : 0;
-    const std::size_t base_1w = records_with_origin(base.dataset(), 3, asn);
-    const std::size_t seen_1w = records_with_origin(scen.dataset(), 3, asn);
-    extra_1w += seen_1w > base_1w ? seen_1w - base_1w : 0;
+    const auto k = static_cast<std::size_t>(
+        std::lower_bound(attackers.begin(), attackers.end(), asn) -
+        attackers.begin());
+    extra_8h += seen_8h[k] > base_8h[k] ? seen_8h[k] - base_8h[k] : 0;
+    extra_1w += seen_1w[k] > base_1w[k] ? seen_1w[k] - base_1w[k] : 0;
   }
   ctx.add_metric("hijacked_origin_records_8h",
                  static_cast<double>(extra_8h),
@@ -214,7 +263,7 @@ void register_scenario_hijack(Registry& registry) {
   registry.add({"scenario_hijack", "scenario", "Scenario (hijack)",
                 "Hijacks and route leaks perturb mid-campaign captures "
                 "and resolve",
-                run});
+                run, campaigns});
 }
 
 }  // namespace bgpatoms::bench

@@ -23,18 +23,17 @@ void add_stats_table(Context& ctx, const char* id, const char* label,
       .add_row({"Largest atom size", std::to_string(s.largest_atom_size)});
 }
 
-void run(Context& ctx) {
-  const double scale04 = ctx.scale(0.05), scale24 = ctx.scale(0.03);
-  ctx.note_scale(scale04);
+/// The campaigns run() requests, in request order.
+std::vector<core::CampaignConfig> campaigns(const Context& ctx) {
+  return pair_2004_2024(ctx, 0.05, 0.03);
+}
 
-  core::CampaignConfig config;
-  config.seed = ctx.seed(42);
-  config.year = 2004.0;
-  config.scale = scale04;
-  const auto& c2004 = ctx.campaign(config);
-  config.year = 2024.75;
-  config.scale = scale24;
-  const auto& c2024 = ctx.campaign(config);
+void run(Context& ctx) {
+  const auto configs = campaigns(ctx);
+  const double scale04 = configs[0].scale, scale24 = configs[1].scale;
+  ctx.note_scale(scale04);
+  const auto& c2004 = ctx.campaign(configs[0]);
+  const auto& c2024 = ctx.campaign(configs[1]);
 
   ctx.add_table("paper", "Paper (real Internet):",
                 {"", "Jan 2004", "Oct 2024"})
@@ -91,7 +90,8 @@ void run(Context& ctx) {
 
 void register_table1(Registry& registry) {
   registry.add({"table1", "§4.1", "Table 1",
-                "General statistics of atoms in 2004 and 2024", run});
+                "General statistics of atoms in 2004 and 2024", run,
+                campaigns});
 }
 
 }  // namespace bgpatoms::bench

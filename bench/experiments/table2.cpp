@@ -6,18 +6,16 @@
 namespace bgpatoms::bench {
 namespace {
 
-void run(Context& ctx) {
-  const double scale04 = ctx.scale(0.05), scale24 = ctx.scale(0.03);
-  ctx.note_scale(scale04);
+/// The campaigns run() requests, in request order.
+std::vector<core::CampaignConfig> campaigns(const Context& ctx) {
+  return pair_2004_2024(ctx, 0.05, 0.03);
+}
 
-  core::CampaignConfig config;
-  config.seed = ctx.seed(42);
-  config.year = 2004.0;
-  config.scale = scale04;
-  const auto& c2004 = ctx.campaign(config);
-  config.year = 2024.75;
-  config.scale = scale24;
-  const auto& c2024 = ctx.campaign(config);
+void run(Context& ctx) {
+  const auto configs = campaigns(ctx);
+  ctx.note_scale(configs[0].scale);
+  const auto& c2004 = ctx.campaign(configs[0]);
+  const auto& c2024 = ctx.campaign(configs[1]);
 
   const auto f2004 = core::formation_distance(c2004.atoms());
   const auto f2024 = core::formation_distance(c2024.atoms());
@@ -83,7 +81,8 @@ void run(Context& ctx) {
 
 void register_table2(Registry& registry) {
   registry.add({"table2", "§4.3", "Table 2",
-                "Formation distance distribution in 2004 and 2024", run});
+                "Formation distance distribution in 2004 and 2024", run,
+                campaigns});
 }
 
 }  // namespace bgpatoms::bench

@@ -5,19 +5,18 @@
 namespace bgpatoms::bench {
 namespace {
 
-void run(Context& ctx) {
-  const double scale04 = ctx.scale(0.04), scale24 = ctx.scale(0.02);
-  ctx.note_scale(scale04);
-
+/// The campaigns run() requests, in request order.
+std::vector<core::CampaignConfig> campaigns(const Context& ctx) {
   core::CampaignConfig config;
-  config.seed = ctx.seed(42);
   config.with_stability = true;
-  config.year = 2004.0;
-  config.scale = scale04;
-  const auto& c2004 = ctx.campaign(config);
-  config.year = 2024.75;
-  config.scale = scale24;
-  const auto& c2024 = ctx.campaign(config);
+  return pair_2004_2024(ctx, 0.04, 0.02, config);
+}
+
+void run(Context& ctx) {
+  const auto configs = campaigns(ctx);
+  ctx.note_scale(configs[0].scale);
+  const auto& c2004 = ctx.campaign(configs[0]);
+  const auto& c2024 = ctx.campaign(configs[1]);
 
   struct Row {
     const char* horizon;
@@ -75,7 +74,7 @@ void run(Context& ctx) {
 
 void register_table3(Registry& registry) {
   registry.add({"table3", "§4.4", "Table 3",
-                "Stability of atoms in 2004 and 2024", run});
+                "Stability of atoms in 2004 and 2024", run, campaigns});
 }
 
 }  // namespace bgpatoms::bench

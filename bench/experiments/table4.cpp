@@ -5,23 +5,28 @@
 namespace bgpatoms::bench {
 namespace {
 
-void run(Context& ctx) {
-  const double s_v4 = ctx.scale(0.03), s_v6 = ctx.scale(0.06),
-               s_v6_11 = ctx.scale(0.5);
-  ctx.note_scale(s_v6);
+/// The campaigns run() requests, in request order.
+std::vector<core::CampaignConfig> campaigns(const Context& ctx) {
+  core::CampaignConfig v4;
+  v4.seed = ctx.seed(42);
+  v4.family = net::Family::kIPv4;
+  v4.year = 2024.75;
+  v4.scale = ctx.scale(0.03);
+  core::CampaignConfig v6 = v4;
+  v6.family = net::Family::kIPv6;
+  v6.scale = ctx.scale(0.06);
+  core::CampaignConfig v6_2011 = v6;
+  v6_2011.year = 2011.0;
+  v6_2011.scale = ctx.scale(0.5);
+  return {v4, v6, v6_2011};
+}
 
-  core::CampaignConfig config;
-  config.seed = ctx.seed(42);
-  config.family = net::Family::kIPv4;
-  config.year = 2024.75;
-  config.scale = s_v4;
-  const auto& v4 = ctx.campaign(config);
-  config.family = net::Family::kIPv6;
-  config.scale = s_v6;
-  const auto& v6 = ctx.campaign(config);
-  config.year = 2011.0;
-  config.scale = s_v6_11;
-  const auto& v6_2011 = ctx.campaign(config);
+void run(Context& ctx) {
+  const auto configs = campaigns(ctx);
+  ctx.note_scale(configs[1].scale);
+  const auto& v4 = ctx.campaign(configs[0]);
+  const auto& v6 = ctx.campaign(configs[1]);
+  const auto& v6_2011 = ctx.campaign(configs[2]);
 
   ctx.add_table("paper", "Paper:",
                 {"", "v4 (2024)", "v6 (2024)", "v6 (2011)"})
@@ -75,7 +80,7 @@ void run(Context& ctx) {
 
 void register_table4(Registry& registry) {
   registry.add({"table4", "§5.1", "Table 4",
-                "General statistics: IPv4 vs IPv6", run});
+                "General statistics: IPv4 vs IPv6", run, campaigns});
 }
 
 }  // namespace bgpatoms::bench

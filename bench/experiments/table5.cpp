@@ -10,9 +10,20 @@
 namespace bgpatoms::bench {
 namespace {
 
+/// The campaigns run() requests, in request order.
+std::vector<core::CampaignConfig> campaigns(const Context& ctx) {
+  // 2022 era: ADD-PATH breakage + the private-ASN injector window closed
+  // in early 2023, so both fault classes are present.
+  core::CampaignConfig config;
+  config.year = 2022.0;
+  config.scale = ctx.scale(0.03);
+  config.seed = ctx.seed(42);
+  return {config};
+}
+
 void run(Context& ctx) {
-  const double scale = ctx.scale(0.03);
-  ctx.note_scale(scale);
+  const auto config = campaigns(ctx).front();
+  ctx.note_scale(config.scale);
 
   ctx.note(
       "Paper (Appendix A8.3): peers of 5 ASNs removed —\n"
@@ -20,12 +31,6 @@ void run(Context& ctx) {
       "  AS25885                               (AS65000 injection)\n"
       "  plus peers with >10% duplicate prefixes");
 
-  // 2022 era: ADD-PATH breakage + the private-ASN injector window closed in
-  // early 2023, so both fault classes are present.
-  core::CampaignConfig config;
-  config.year = 2022.0;
-  config.scale = scale;
-  config.seed = ctx.seed(42);
   const auto& c = ctx.campaign(config);
   const auto& report = c.sanitized.front().report;
   const auto& vps = c.topology.vantage_points;
@@ -66,7 +71,8 @@ void run(Context& ctx) {
 
 void register_table5(Registry& registry) {
   registry.add({"table5", "§A8.3", "Table 5",
-                "Abnormal BGP peers removed from the analysis", run});
+                "Abnormal BGP peers removed from the analysis", run,
+                campaigns});
 }
 
 }  // namespace bgpatoms::bench

@@ -6,9 +6,15 @@
 namespace bgpatoms::bench {
 namespace {
 
-void run(Context& ctx) {
+/// The campaigns run() requests, in request order.
+std::vector<core::CampaignConfig> campaigns(const Context& ctx) {
   auto config = repro_2002_config(ctx);
   config.with_stability = true;
+  return {config};
+}
+
+void run(Context& ctx) {
+  const auto config = campaigns(ctx).front();
   ctx.note_scale(config.scale);
   const auto& c = ctx.campaign(config);
 
@@ -52,7 +58,8 @@ void run(Context& ctx) {
 
 void register_table6(Registry& registry) {
   registry.add({"table6", "§A8.4.3", "Table 6",
-                "Reproduced stability of policy atoms over time (2002)", run});
+                "Reproduced stability of policy atoms over time (2002)", run,
+                campaigns});
 }
 
 }  // namespace bgpatoms::bench

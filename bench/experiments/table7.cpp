@@ -9,15 +9,19 @@
 namespace bgpatoms::bench {
 namespace {
 
-void run(Context& ctx) {
-  const double scale = ctx.scale(0.02);
-  ctx.note_scale(scale);
-
+/// The campaigns run() requests, in request order.
+std::vector<core::CampaignConfig> campaigns(const Context& ctx) {
   // One Oct-2024 snapshot, sanitized repeatedly under different thresholds.
   core::CampaignConfig base;
   base.year = 2024.75;
-  base.scale = scale;
+  base.scale = ctx.scale(0.02);
   base.seed = ctx.seed(42);
+  return {base};
+}
+
+void run(Context& ctx) {
+  const auto base = campaigns(ctx).front();
+  ctx.note_scale(base.scale);
   const auto& campaign = ctx.campaign(base);
   const auto& ds = campaign.dataset();
 
@@ -64,7 +68,8 @@ void run(Context& ctx) {
 
 void register_table7(Registry& registry) {
   registry.add({"table7", "§A8.5", "Table 7",
-                "Prefix count under visibility-threshold combinations", run});
+                "Prefix count under visibility-threshold combinations", run,
+                campaigns});
 }
 
 }  // namespace bgpatoms::bench

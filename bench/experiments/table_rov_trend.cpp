@@ -17,15 +17,31 @@ std::size_t first_snapshot_records(const core::Campaign& c) {
   return bgp::Dataset::record_count(c.dataset().snapshots.front());
 }
 
+constexpr double kYears[] = {2004.0, 2012.0, 2016.0, 2020.0, 2024.75};
+
+/// Per year of kYears, the campaign without ROV, then the one with it.
+std::vector<core::CampaignConfig> campaigns(const Context& ctx) {
+  std::vector<core::CampaignConfig> configs;
+  for (const double year : kYears) {
+    core::CampaignConfig config;
+    config.year = year;
+    config.scale = ctx.scale(0.06);
+    config.seed = ctx.seed(3000 + static_cast<int>(year));
+    configs.push_back(config);
+    config.scenario.rov = true;
+    configs.push_back(config);
+  }
+  return configs;
+}
+
 void run(Context& ctx) {
-  const double scale = ctx.scale(0.06);
-  ctx.note_scale(scale);
+  const auto configs = campaigns(ctx);
+  ctx.note_scale(configs[0].scale);
   ctx.note("ROV drops routes whose covering ROA does not authorize the "
            "origin; with era curves the invalid slice is coverage x "
            "misconfiguration, dropped wherever a validating AS sits on "
            "the path to the vantage point.");
 
-  const double years[] = {2004.0, 2012.0, 2016.0, 2020.0, 2024.75};
   auto& table = ctx.add_table(
       "rov_trend", "RIB records with and without ROV",
       {"year", "ROV adoption", "ROA coverage", "ROA misconfig",
@@ -33,17 +49,10 @@ void run(Context& ctx) {
 
   double dropped_2012 = 0.0, dropped_2024 = 0.0;
   std::size_t equal_2004 = 0, records_2004 = 0;
-  for (const double year : years) {
-    core::CampaignConfig config;
-    config.year = year;
-    config.scale = scale;
-    config.seed = ctx.seed(3000 + static_cast<int>(year));
-
-    core::CampaignConfig rov = config;
-    rov.scenario.rov = true;
-
-    const core::Campaign& base = ctx.campaign(config);
-    const core::Campaign& validated = ctx.campaign(rov);
+  for (std::size_t i = 0; i < configs.size(); i += 2) {
+    const double year = configs[i].year;
+    const core::Campaign& base = ctx.campaign(configs[i]);
+    const core::Campaign& validated = ctx.campaign(configs[i + 1]);
     const std::size_t base_records = first_snapshot_records(base);
     const std::size_t rov_records = first_snapshot_records(validated);
     const double dropped =
@@ -88,7 +97,7 @@ void run(Context& ctx) {
 void register_table_rov_trend(Registry& registry) {
   registry.add({"table_rov_trend", "scenario", "Scenario (ROV trend)",
                 "Era-calibrated ROV deployment filters invalid routes",
-                run});
+                run, campaigns});
 }
 
 }  // namespace bgpatoms::bench

@@ -27,11 +27,18 @@
 namespace bgpatoms::bench {
 namespace {
 
-void run(Context& ctx) {
-  const double scale = ctx.scale(0.01);
-  ctx.note_scale(scale);
+/// One campaign per year of the §A8.2 biennial grid.
+std::vector<core::CampaignConfig> campaigns(const Context& ctx) {
+  std::vector<core::CampaignConfig> configs;
+  for (const auto& job : full_feed_trend_jobs(ctx, ctx.scale(0.01), 7000)) {
+    configs.push_back(job.config);
+  }
+  return configs;
+}
 
-  const auto jobs = full_feed_trend_jobs(ctx, scale, 7000);
+void run(Context& ctx) {
+  const auto configs = campaigns(ctx);
+  ctx.note_scale(configs[0].scale);
 
   auto& trend = ctx.add_table(
       "trend", "~10% VP budget vs the full-VP partition",
@@ -42,8 +49,8 @@ void run(Context& ctx) {
   double last_fidelity = 0.0, last_rand = 1.0;
   std::size_t last_vps_for_99 = 0;
   core::VpSelection last_selection;
-  for (const auto& job : jobs) {
-    const auto& snap = ctx.campaign(job.config).sanitized.front();
+  for (const auto& config : configs) {
+    const auto& snap = ctx.campaign(config).sanitized.front();
     core::AtomOptions matrix_options;
     const auto matrix =
         core::AtomSignatureMatrix::build(snap, matrix_options, nullptr);
@@ -72,7 +79,7 @@ void run(Context& ctx) {
                                  : selection.steps.back().groups;
     const double rand_index =
         selection.steps.empty() ? 1.0 : selection.steps.back().rand_index;
-    trend.add_row({fmt("%.0f", job.config.year),
+    trend.add_row({fmt("%.0f", config.year),
                    std::to_string(selection.total_vps),
                    std::to_string(selection.full_groups),
                    std::to_string(sel.budget), std::to_string(kept),
@@ -138,7 +145,7 @@ void register_table_vp_value(Registry& registry) {
   registry.add({"table_vp_value", "§A8.2", "Table (VP value)",
                 "Greedy VP selection: atoms preserved per vantage-point "
                 "budget",
-                run});
+                run, campaigns});
 }
 
 }  // namespace bgpatoms::bench

@@ -1,10 +1,10 @@
 // bga_bench — unified runner for the paper-reproduction experiments.
 //
 // Every table/figure of the paper is a registered experiment
-// (bench/experiments/); this binary runs any subset in one process,
-// sharing a worker pool and a campaign cache across experiments, renders
-// each result as text, and optionally emits the whole run as
-// machine-readable JSON.
+// (bench/experiments/); this binary runs any subset in one process on
+// one worker pool, building the campaigns the selection plans once each
+// in one batch before the experiments run, renders each result as text,
+// and optionally emits the whole run as machine-readable JSON.
 #include <cstdio>
 #include <exception>
 #include <sstream>
@@ -26,8 +26,10 @@ constexpr char kUsage[] =
     "usage: bga_bench [filters...] [options]\n"
     "\n"
     "Runs the paper-reproduction experiments (tables, figures, ablations)\n"
-    "in one process, sharing the simulation worker pool and a campaign\n"
-    "cache across them.\n"
+    "in one process on one simulation worker pool. The campaigns the\n"
+    "selection needs are built first, each once, in parallel on that\n"
+    "pool; the experiments then run in order and each campaign is freed\n"
+    "after its last user.\n"
     "\n"
     "selection:\n"
     "  --list              list experiments (with --filter: the selection)\n"

@@ -1,7 +1,6 @@
 #include "net/aspath.h"
 
 #include <algorithm>
-#include <cassert>
 #include <charconv>
 #include <functional>
 #include <stdexcept>
@@ -31,11 +30,6 @@ std::optional<Asn> PathView::origin() const {
   const SegmentView last = segments()[layout_.size() - 1];
   if (last.asns.size() == 1) return hops_.back();
   return std::nullopt;  // aggregated origin is ambiguous
-}
-
-std::optional<Asn> PathView::head() const {
-  if (hops_.empty()) return std::nullopt;
-  return hops_.front();
 }
 
 bool PathView::has_set() const {
@@ -69,38 +63,6 @@ AsPath PathView::with_singleton_sets_expanded() const {
   return out;
 }
 
-bool PathView::has_loop() const {
-  // An AS may legitimately appear several times only as one consecutive run
-  // (prepending). Detect any AS that starts a second, non-adjacent run.
-  std::vector<Asn> seen;
-  Asn prev = 0;
-  bool first = true;
-  for (const SegmentView seg : segments()) {
-    if (seg.type != SegmentType::kSequence) {
-      first = true;  // sets break adjacency tracking
-      continue;
-    }
-    for (Asn a : seg.asns) {
-      if (!first && a == prev) continue;
-      if (std::find(seen.begin(), seen.end(), a) != seen.end()) return true;
-      seen.push_back(a);
-      prev = a;
-      first = false;
-    }
-  }
-  return false;
-}
-
-bool PathView::has_bogon() const {
-  for (const SegmentView seg : segments()) {
-    if (seg.type != SegmentType::kSequence) continue;
-    for (Asn a : seg.asns) {
-      if (is_bogon_asn(a)) return true;
-    }
-  }
-  return false;
-}
-
 std::vector<AsRun> PathView::runs_from_origin() const {
   std::vector<AsRun> runs;
   for (auto it = hops_.rbegin(); it != hops_.rend(); ++it) {
@@ -128,14 +90,6 @@ AsPath PathView::stripped() const {
     out.append_segment(SegmentType::kSequence, dedup);
   }
   return out;
-}
-
-int PathView::unique_hop_count() const {
-  int count = 0;
-  for (std::size_t i = 0; i < hops_.size(); ++i) {
-    if (i == 0 || hops_[i] != hops_[i - 1]) ++count;
-  }
-  return count;
 }
 
 std::string PathView::to_string() const {
@@ -236,17 +190,6 @@ void AsPath::append_segment(SegmentType type, std::span<const Asn> asns) {
   hops_.insert(hops_.end(), asns.begin(), asns.end());
   if (!single_sequence) {
     layout_.push_back({type, static_cast<std::uint32_t>(hops_.size())});
-  }
-}
-
-void AsPath::prepend(Asn asn, int count) {
-  assert(count >= 1);
-  const auto n = static_cast<std::uint32_t>(count);
-  hops_.insert(hops_.begin(), n, asn);
-  if (layout_.empty()) return;  // still one AS_SEQUENCE
-  for (auto& s : layout_) s.end += n;
-  if (layout_.front().type == SegmentType::kSet) {
-    layout_.insert(layout_.begin(), {SegmentType::kSequence, n});
   }
 }
 

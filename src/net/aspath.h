@@ -99,9 +99,6 @@ class PathView {
   /// (origin unknown after aggregation) or is empty.
   std::optional<Asn> origin() const;
 
-  /// First AS of the path (the peer's own AS for collector-learned paths).
-  std::optional<Asn> head() const;
-
   /// True if any segment is an AS_SET.
   bool has_set() const;
 
@@ -112,14 +109,6 @@ class PathView {
   /// §2.4.4 expansion rule), merged with the sequences around them.
   /// Multi-member sets are left untouched; callers drop such paths.
   AsPath with_singleton_sets_expanded() const;
-
-  /// True if some AS appears in two non-adjacent positions (routing loop or
-  /// poisoning artifact). AS_SET members are ignored.
-  bool has_loop() const;
-
-  /// True if any sequence hop is a bogon (private/reserved/documentation)
-  /// ASN.
-  bool has_bogon() const;
 
   /// hops() as an owned vector.
   std::vector<Asn> flat() const { return {hops_.begin(), hops_.end()}; }
@@ -132,9 +121,6 @@ class PathView {
   /// Copy with consecutive duplicate hops removed within each
   /// AS_SEQUENCE (prepending collapsed).
   AsPath stripped() const;
-
-  /// Number of distinct consecutive runs over hops().
-  int unique_hop_count() const;
 
   /// "1 2 [3 4 5]" notation; empty path renders as "".
   std::string to_string() const;
@@ -225,10 +211,6 @@ class AsPath {
   /// Adjacent AS_SEQUENCE segments stay distinct from their merge.
   void append_segment(SegmentType type, std::span<const Asn> asns);
 
-  /// Prepends `count` copies of `asn` at the head (the AS applying policy
-  /// toward its neighbor). count >= 1.
-  void prepend(Asn asn, int count = 1);
-
   PathView view() const { return PathView(hops_, layout_); }
   operator PathView() const { return view(); }
 
@@ -236,20 +218,16 @@ class AsPath {
   PathSegments segments() const { return view().segments(); }
   int selection_length() const { return view().selection_length(); }
   std::optional<Asn> origin() const { return view().origin(); }
-  std::optional<Asn> head() const { return view().head(); }
   bool has_set() const { return view().has_set(); }
   bool sets_all_singleton() const { return view().sets_all_singleton(); }
   AsPath with_singleton_sets_expanded() const {
     return view().with_singleton_sets_expanded();
   }
-  bool has_loop() const { return view().has_loop(); }
-  bool has_bogon() const { return view().has_bogon(); }
   std::vector<Asn> flat() const { return view().flat(); }
   std::vector<AsRun> runs_from_origin() const {
     return view().runs_from_origin();
   }
   AsPath stripped() const { return view().stripped(); }
-  int unique_hop_count() const { return view().unique_hop_count(); }
   std::string to_string() const { return view().to_string(); }
   std::uint64_t hash() const { return view().hash(); }
 

@@ -1,7 +1,9 @@
 #include "report/cache.h"
 
+#include <chrono>
 #include <cstring>
 
+#include "core/parallel.h"
 #include "obs/obs.h"
 
 namespace bgpatoms::report {
@@ -48,30 +50,53 @@ std::string campaign_cache_key(const core::CampaignConfig& c) {
   return key;
 }
 
-std::shared_ptr<const core::Campaign> CampaignCache::campaign(
-    const core::CampaignConfig& config) {
-  const std::string key = campaign_cache_key(config);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = campaigns_.find(key);
-    if (it != campaigns_.end()) {
+void CampaignPlan::add(std::size_t user,
+                       const std::vector<core::CampaignConfig>& configs) {
+  if (planned_.size() <= user) planned_.resize(user + 1);
+  for (const auto& config : configs) {
+    std::string key = campaign_cache_key(config);
+    const auto [it, inserted] = index_.emplace(key, entries_.size());
+    if (inserted) {
+      entries_.push_back({std::move(key), config, user, std::nullopt});
+      ++stats_.campaign_misses;
+      OBS_COUNT("cache.campaign_misses");
+    } else {
+      entries_[it->second].last_user = user;
       ++stats_.campaign_hits;
       OBS_COUNT("cache.campaign_hits");
-      return it->second;
     }
+    planned_[user].push_back(it->second);
   }
-  auto run = std::make_shared<const core::Campaign>(
-      core::run_campaign(config));
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto [it, inserted] = campaigns_.emplace(key, std::move(run));
-  ++stats_.campaign_misses;
-  OBS_COUNT("cache.campaign_misses");
-  return it->second;
 }
 
-CampaignCache::Stats CampaignCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+void CampaignPlan::build(core::TaskPool& pool) {
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    OBS_SPAN("report.plan");
+    pool.run(entries_.size(), [this](std::size_t i) {
+      entries_[i].campaign.emplace(core::run_campaign(entries_[i].config));
+    });
+  }
+  stats_.build_seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+}
+
+const core::Campaign* CampaignPlan::find(
+    std::size_t user, const core::CampaignConfig& config) const {
+  if (user >= planned_.size()) return nullptr;
+  const std::string key = campaign_cache_key(config);
+  for (const std::size_t i : planned_[user]) {
+    const Entry& e = entries_[i];
+    if (e.key == key && e.campaign) return &*e.campaign;
+  }
+  return nullptr;
+}
+
+void CampaignPlan::release(std::size_t user) {
+  for (Entry& e : entries_) {
+    if (e.last_user == user) e.campaign.reset();
+  }
 }
 
 }  // namespace bgpatoms::report

@@ -84,9 +84,14 @@ Registry& Registry::global() {
   return registry;
 }
 
-Context::Context(const RunOptions& options, CampaignCache& cache,
-                 core::TaskPool& pool, ExperimentResult& result)
-    : options_(options), cache_(cache), pool_(pool), result_(result) {}
+Context::Context(const RunOptions& options, core::TaskPool& pool,
+                 const CampaignPlan& campaigns, std::size_t user,
+                 ExperimentResult& result)
+    : options_(options),
+      pool_(pool),
+      campaigns_(campaigns),
+      user_(user),
+      result_(result) {}
 
 std::uint64_t Context::seed(std::uint64_t paper_seed) const {
   if (!options_.seed) return paper_seed;
@@ -102,7 +107,12 @@ core::SweepOptions Context::sweep_options() const {
 }
 
 const core::Campaign& Context::campaign(const core::CampaignConfig& config) {
-  return *cache_.campaign(config);
+  const core::Campaign* c = campaigns_.find(user_, config);
+  if (c == nullptr) {
+    throw std::logic_error("experiment " + result_.id +
+                           " requested a campaign its plan does not list");
+  }
+  return *c;
 }
 
 std::vector<core::QuarterMetrics> Context::run_sweep(
@@ -156,24 +166,34 @@ RunReport run_experiments(const std::vector<const Experiment*>& experiments,
   report.options = options;
   core::TaskPool pool(options.threads);
   report.threads = pool.thread_count();
-  CampaignCache cache;
+  CampaignPlan campaigns;
 
-  for (const Experiment* e : experiments) {
-    ExperimentResult result;
-    result.id = e->id;
-    result.section = e->section;
-    result.name = e->name;
-    result.title = e->title;
+  report.experiments.resize(experiments.size());
+  for (std::size_t i = 0; i < experiments.size(); ++i) {
+    const Experiment& e = *experiments[i];
+    ExperimentResult& result = report.experiments[i];
+    result.id = e.id;
+    result.section = e.section;
+    result.name = e.name;
+    result.title = e.title;
     result.threads = pool.thread_count();
-    Context ctx(options, cache, pool, result);
+    if (e.plan) {
+      campaigns.add(i, e.plan(Context(options, pool, campaigns, i, result)));
+    }
+  }
+  campaigns.build(pool);
+
+  for (std::size_t i = 0; i < experiments.size(); ++i) {
+    ExperimentResult& result = report.experiments[i];
+    Context ctx(options, pool, campaigns, i, result);
     const auto t0 = std::chrono::steady_clock::now();
-    e->run(ctx);
+    experiments[i]->run(ctx);
     const auto t1 = std::chrono::steady_clock::now();
     result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-    report.experiments.push_back(std::move(result));
+    campaigns.release(i);
   }
 
-  report.cache = cache.stats();
+  report.cache = campaigns.stats();
   return report;
 }
 
@@ -227,6 +247,7 @@ json::Value to_json(const RunReport& report) {
   json::Object cache{
       {"campaign_hits", report.cache.campaign_hits},
       {"campaign_misses", report.cache.campaign_misses},
+      {"build_seconds", report.cache.build_seconds},
   };
   return json::Value(json::Object{
       {"schema", "bgpatoms-report/1"},

@@ -1,11 +1,13 @@
 // Unified experiment registry.
 //
 // Each figure/table of the paper is one registered Experiment: a stable
-// id ("fig04"), the paper section it reproduces, a display name, and a
-// run function that assembles structured output (report::Table rows,
+// id ("fig04"), the paper section it reproduces, a display name, a run
+// function that assembles structured output (report::Table rows,
 // report::Metric scalars, report::Check shape assertions) through the
-// Context it receives. One runner executes any subset in one process,
-// sharing a core::TaskPool and a CampaignCache across experiments, and
+// Context it receives, and a plan listing the campaigns run will request.
+// One runner executes any subset in one process: it builds the
+// selection's distinct planned campaigns in one batch on a shared
+// core::TaskPool (report/cache.h), runs the experiments in order, and
 // renders text (report/render) and JSON (report/json) from the same
 // result objects.
 //
@@ -62,6 +64,11 @@ struct Experiment {
   std::string name;     // display name: "Table 1", "Figure 4"
   std::string title;    // one-line description
   std::function<void(Context&)> run;
+  /// Every config `run` passes to Context::campaign, computed from the
+  /// same Context (scale and seed). Empty for experiments that request no
+  /// campaign.
+  std::function<std::vector<core::CampaignConfig>(const Context&)> plan =
+      nullptr;
 };
 
 /// Ordered experiment collection; ids are unique. The process-global
@@ -90,8 +97,11 @@ class Registry {
 /// resources, and the result under assembly.
 class Context {
  public:
-  Context(const RunOptions& options, CampaignCache& cache,
-          core::TaskPool& pool, ExperimentResult& result);
+  /// `user` is the experiment's position in the run, as numbered in
+  /// `campaigns`.
+  Context(const RunOptions& options, core::TaskPool& pool,
+          const CampaignPlan& campaigns, std::size_t user,
+          ExperimentResult& result);
 
   // -- workload parameters --------------------------------------------
   double scale_multiplier() const { return options_.scale_multiplier; }
@@ -107,7 +117,9 @@ class Context {
   // -- shared simulation resources ------------------------------------
   /// Sweep options wired to the run-wide shared pool.
   core::SweepOptions sweep_options() const;
-  /// Cached campaign (kept alive for the whole run; see CampaignCache).
+  /// A campaign this experiment's plan lists, built before the run
+  /// started and kept until its last planned user finishes. Throws
+  /// std::logic_error naming the experiment for an unplanned config.
   const core::Campaign& campaign(const core::CampaignConfig& config);
   /// Sweep over the shared pool (core::run_sweep; not cached).
   std::vector<core::QuarterMetrics> run_sweep(std::vector<core::SweepJob> jobs);
@@ -123,25 +135,29 @@ class Context {
 
  private:
   const RunOptions& options_;
-  CampaignCache& cache_;
   core::TaskPool& pool_;
+  const CampaignPlan& campaigns_;
+  std::size_t user_;
   ExperimentResult& result_;
 };
 
-/// A full harness run: options, per-experiment results, shared-cache
+/// A full harness run: options, per-experiment results, planned-campaign
 /// totals.
 struct RunReport {
   RunOptions options;
   int threads = 0;
   std::vector<ExperimentResult> experiments;
-  CampaignCache::Stats cache;
+  CampaignStats cache;
 
   bool passed() const;
   std::size_t checks_failed() const;
 };
 
-/// Runs `experiments` in order in this process, sharing one TaskPool and
-/// one CampaignCache across all of them.
+/// Runs `experiments` in order in this process on one TaskPool: first the
+/// selection's distinct planned campaigns in one pool batch, then each
+/// experiment on the calling thread, freeing each campaign after its last
+/// planned user. Per-experiment wall_seconds leave the batch out; its
+/// wall is RunReport::cache.build_seconds.
 RunReport run_experiments(const std::vector<const Experiment*>& experiments,
                           const RunOptions& options);
 

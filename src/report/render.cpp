@@ -87,8 +87,10 @@ void render_summary(const RunReport& report, std::FILE* out) {
                  e.id.c_str(), failed ? "FAIL" : "ok",
                  e.checks.size() - failed, e.checks.size(), e.wall_seconds);
   }
-  std::fprintf(out, "\n  campaign cache: %zu hits, %zu misses\n",
-               report.cache.hits(), report.cache.misses());
+  std::fprintf(out,
+               "\n  campaign cache: %zu hits, %zu misses, built in %.2fs\n",
+               report.cache.hits(), report.cache.misses(),
+               report.cache.build_seconds);
   std::fprintf(out, "  shape checks failed: %zu%s\n", report.checks_failed(),
                report.options.strict_checks && report.checks_failed()
                    ? "  (strict mode: failing run)"

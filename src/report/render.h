@@ -13,7 +13,7 @@ namespace bgpatoms::report {
 void render(const ExperimentResult& result, std::FILE* out);
 
 /// Renders the run footer: per-experiment check/time summary and the
-/// shared campaign-cache totals.
+/// planned-campaign totals with the build batch's wall time.
 void render_summary(const RunReport& report, std::FILE* out);
 
 }  // namespace bgpatoms::report

@@ -15,7 +15,6 @@ TEST(AsPath, SequenceBasics) {
   EXPECT_FALSE(p.empty());
   EXPECT_EQ(p.selection_length(), 3);
   EXPECT_EQ(p.origin(), 30u);
-  EXPECT_EQ(p.head(), 10u);
   EXPECT_EQ(p.to_string(), "10 20 30");
 }
 
@@ -24,7 +23,6 @@ TEST(AsPath, EmptyPath) {
   EXPECT_TRUE(p.empty());
   EXPECT_EQ(p.selection_length(), 0);
   EXPECT_EQ(p.origin(), std::nullopt);
-  EXPECT_EQ(p.head(), std::nullopt);
   EXPECT_EQ(p.to_string(), "");
 }
 
@@ -86,23 +84,9 @@ TEST(AsPath, MultiSetNotExpanded) {
   EXPECT_TRUE(p.with_singleton_sets_expanded().has_set());
 }
 
-TEST(AsPath, PrependAddsCopiesAtHead) {
-  auto p = AsPath::sequence({20, 30});
-  p.prepend(10, 2);
-  EXPECT_EQ(p, AsPath::sequence({10, 10, 20, 30}));
-  EXPECT_EQ(p.selection_length(), 4);
-}
-
-TEST(AsPath, PrependOnEmptyPath) {
-  AsPath p;
-  p.prepend(7, 1);
-  EXPECT_EQ(p, AsPath::sequence({7}));
-}
-
 TEST(AsPath, StrippedCollapsesPrepending) {
   const auto p = AsPath::sequence({1, 2, 2, 2, 3, 3});
   EXPECT_EQ(p.stripped(), AsPath::sequence({1, 2, 3}));
-  EXPECT_EQ(p.unique_hop_count(), 3);
   // Idempotent.
   EXPECT_EQ(p.stripped().stripped(), p.stripped());
 }
@@ -120,18 +104,6 @@ TEST(AsPath, RunsFromOriginReversesAndCounts) {
   EXPECT_EQ(runs[0], (AsRun{30, 3}));
   EXPECT_EQ(runs[1], (AsRun{20, 2}));
   EXPECT_EQ(runs[2], (AsRun{10, 1}));
-}
-
-TEST(AsPath, HasLoopDetectsNonAdjacentRepeat) {
-  EXPECT_TRUE(AsPath::sequence({1, 2, 1}).has_loop());
-  EXPECT_FALSE(AsPath::sequence({1, 1, 1, 2}).has_loop());  // prepending
-  EXPECT_FALSE(AsPath::sequence({1, 2, 3}).has_loop());
-  EXPECT_TRUE(AsPath::sequence({1, 2, 2, 3, 2}).has_loop());
-}
-
-TEST(AsPath, HasBogon) {
-  EXPECT_TRUE(AsPath::sequence({25885, 65000, 3356}).has_bogon());
-  EXPECT_FALSE(AsPath::sequence({25885, 3356}).has_bogon());
 }
 
 TEST(AsPath, FlatConcatenatesSegments) {

@@ -171,11 +171,14 @@ TEST_P(SeedSweep, SplitPointSymmetryOnRandomPaths) {
                         PrependMethod::kStripAfterGrouping}) {
       EXPECT_EQ(split_point(pa, pb, method), split_point(pb, pa, method));
     }
-    // Distance is at least 1 and bounded by unique hops + 1.
+    // Distance is at least 1 and bounded by unique hops (runs) + 1.
+    const auto runs = [](const net::AsPath& p) {
+      return static_cast<int>(p.runs_from_origin().size());
+    };
     const auto d = split_point(pa, pb, PrependMethod::kRunAware);
     if (d != INT32_MAX) {
       EXPECT_GE(d, 1);
-      EXPECT_LE(d, std::max(pa.unique_hop_count(), pb.unique_hop_count()) + 1);
+      EXPECT_LE(d, std::max(runs(pa), runs(pb)) + 1);
     } else {
       EXPECT_EQ(pa, pb);  // run-aware: only identical paths never split
     }

@@ -1,10 +1,14 @@
 // The report layer: experiment registry, Check semantics, JSON
-// round-trip, the shared campaign cache, and run-option resolution.
+// round-trip, the campaign plan runner, and run-option resolution.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/env.h"
 #include "core/longitudinal.h"
@@ -275,9 +279,9 @@ TEST(Json, NumericEqualityCrossesRepresentations) {
   EXPECT_DOUBLE_EQ(huge.as_number(), 1e26);
 }
 
-// ------------------------------------------------------------------- cache
+// ----------------------------------------------------------- campaign plan
 
-TEST(CampaignCache, KeyCoversConfigFields) {
+TEST(CampaignPlan, KeyCoversConfigFields) {
   core::CampaignConfig a;
   a.year = 2004.0;
   a.scale = 0.002;
@@ -294,17 +298,134 @@ TEST(CampaignCache, KeyCoversConfigFields) {
   EXPECT_NE(report::campaign_cache_key(a), report::campaign_cache_key(b));
 }
 
-TEST(CampaignCache, SecondCampaignRequestIsAPointerIdenticalHit) {
-  report::CampaignCache cache;
+core::CampaignConfig tiny_campaign(std::uint64_t seed, double year) {
   core::CampaignConfig config;
-  config.year = 2004.0;
+  config.year = year;
   config.scale = 0.002;
-  config.seed = 42;
-  const auto first = cache.campaign(config);
-  const auto second = cache.campaign(config);
-  EXPECT_EQ(first.get(), second.get());
-  EXPECT_EQ(cache.stats().campaign_hits, 1u);
-  EXPECT_EQ(cache.stats().campaign_misses, 1u);
+  config.seed = seed;
+  return config;
+}
+
+/// Experiment `id` whose plan is `configs`: run requests each of them,
+/// reports its atom statistics, and records the Campaign it got in
+/// `seen[{id, index}]`.
+Experiment planned(const char* id, std::vector<core::CampaignConfig> configs,
+                   std::map<std::pair<std::string, std::size_t>,
+                            const core::Campaign*>& seen) {
+  Experiment e = make(id);
+  e.plan = [configs](const report::Context&) { return configs; };
+  e.run = [id, configs, &seen](report::Context& ctx) {
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      const core::Campaign& c = ctx.campaign(configs[i]);
+      seen[{id, i}] = &c;
+      ctx.add_metric("prefixes_" + std::to_string(i),
+                     static_cast<double>(c.stats.prefixes));
+      ctx.add_metric("atoms_" + std::to_string(i),
+                     static_cast<double>(c.stats.atoms));
+    }
+  };
+  return e;
+}
+
+/// The report without the fields that vary with the machine: timings
+/// and thread counts.
+report::json::Value without_timing(const report::json::Value& v) {
+  using report::json::Value;
+  if (v.is_object()) {
+    report::json::Object out;
+    for (const auto& [key, value] : v.as_object()) {
+      if (key == "wall_seconds" || key == "build_seconds" || key == "threads") {
+        continue;
+      }
+      out.emplace_back(key, without_timing(value));
+    }
+    return Value(std::move(out));
+  }
+  if (v.is_array()) {
+    report::json::Array out;
+    for (const auto& item : v.as_array()) out.push_back(without_timing(item));
+    return Value(std::move(out));
+  }
+  return v;
+}
+
+// Three experiments with overlapping plans: "a" and "c" share x, "a" and
+// "b" share y. The selection's three distinct campaigns build in one pool
+// batch (raced under the tsan preset), each request for a shared config
+// returns the same Campaign, and the report is the same at any thread
+// count.
+TEST(CampaignPlan, OverlappingPlansBuildOnceAtAnyThreadCount) {
+  const auto x = tiny_campaign(42, 2004.0);
+  const auto y = tiny_campaign(43, 2010.0);
+  const auto z = tiny_campaign(44, 2016.0);
+  std::string first;
+  for (const int threads : {1, 2, 8}) {
+    std::map<std::pair<std::string, std::size_t>, const core::Campaign*> seen;
+    Registry r;
+    r.add(planned("a", {x, y}, seen));
+    // "b" and "c" compare what they got with what "a" got while those
+    // campaigns are still alive: "b" is y's last planned user, "c" x's.
+    bool same_y = false, distinct = false, same_x = false;
+    Experiment b = planned("b", {y, z}, seen);
+    b.run = [&, run_b = b.run](report::Context& ctx) {
+      run_b(ctx);
+      same_y = seen.at({"b", 0}) == seen.at({"a", 1});
+      distinct = seen.at({"a", 0}) != seen.at({"a", 1});
+    };
+    r.add(std::move(b));
+    Experiment c = planned("c", {x}, seen);
+    c.run = [&, run_c = c.run](report::Context& ctx) {
+      run_c(ctx);
+      same_x = seen.at({"c", 0}) == seen.at({"a", 0});
+    };
+    r.add(std::move(c));
+
+    report::RunOptions options;
+    options.threads = threads;
+    const auto report = report::run_experiments(r.all(), options);
+    EXPECT_TRUE(same_x) << threads << " threads";
+    EXPECT_TRUE(same_y) << threads << " threads";
+    EXPECT_TRUE(distinct) << threads << " threads";
+    EXPECT_EQ(report.cache.misses(), 3u);
+    EXPECT_EQ(report.cache.hits(), 2u);
+    EXPECT_GE(report.cache.build_seconds, 0.0);
+
+    const std::string doc = without_timing(report::to_json(report)).serialize();
+    if (first.empty()) {
+      first = doc;
+    } else {
+      EXPECT_EQ(doc, first) << threads << " threads";
+    }
+  }
+}
+
+TEST(CampaignPlan, UnplannedRequestThrowsNamingTheExperiment) {
+  const auto x = tiny_campaign(42, 2004.0);
+  const auto y = tiny_campaign(43, 2010.0);
+  Registry r;
+  Experiment e = make("rogue");
+  e.plan = [x](const report::Context&) {
+    return std::vector<core::CampaignConfig>{x};
+  };
+  e.run = [y](report::Context& ctx) { ctx.campaign(y); };
+  r.add(std::move(e));
+  // Without a plan, any request is unplanned.
+  Experiment none = make("unplanned");
+  none.run = [x](report::Context& ctx) { ctx.campaign(x); };
+  r.add(std::move(none));
+
+  report::RunOptions options;
+  options.threads = 2;
+  for (const auto* experiment : r.all()) {
+    try {
+      report::run_experiments({experiment}, options);
+      ADD_FAILURE() << experiment->id << " did not throw";
+    } catch (const std::logic_error& err) {
+      EXPECT_NE(std::string(err.what()).find(experiment->id),
+                std::string::npos)
+          << err.what();
+    }
+  }
 }
 
 // ----------------------------------------------------------------- options

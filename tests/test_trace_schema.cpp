@@ -1,6 +1,7 @@
 // Golden-trace tier for the bgpatoms-trace/1 document (report/trace.h):
-// one small campaign workload — simulate through the campaign cache,
-// archive, stream-analyze, sweep — run twice, at 1 worker thread and at 8.
+// one small campaign workload — plan and simulate it through
+// run_experiments, archive, stream-analyze, sweep — run twice, at 1
+// worker thread and at 8.
 // Both traces must parse and validate against the schema, and the
 // deterministic section (`counters`: record counts, section counts,
 // cache hits) must serialize byte-identically across thread counts; the
@@ -15,9 +16,8 @@
 #include "bgp/archive_view.h"
 #include "core/analyze.h"
 #include "core/longitudinal.h"
-#include "core/parallel.h"
 #include "obs/obs.h"
-#include "report/cache.h"
+#include "report/experiment.h"
 #include "report/trace.h"
 
 namespace bgpatoms::report {
@@ -47,28 +47,39 @@ core::CampaignConfig small_campaign() {
   return config;
 }
 
-/// The instrumented workload, identical for every thread count: a cached
-/// campaign requested twice (one miss + one hit), a quarter sweep, and a
-/// full streamed analysis over a v2 archive.
+/// The instrumented workload, identical for every thread count, run
+/// through run_experiments: two experiments that both plan one campaign
+/// (one miss + one hit); the first archives it, the second runs a quarter
+/// sweep and a full streamed analysis over that v2 archive.
 void run_workload(int threads, const std::string& archive_path) {
-  CampaignCache cache;
-  const auto campaign = cache.campaign(small_campaign());
-  cache.campaign(small_campaign());  // second request: a cache hit
-
-  core::TaskPool pool(threads);
-  core::SweepOptions sweep_options;
-  sweep_options.pool = &pool;
-  core::run_sweep({core::quarter_job(net::Family::kIPv4, 2010.0, 0.01, 7),
-                   core::quarter_job(net::Family::kIPv4, 2010.25, 0.01, 7)},
-                  sweep_options);
-
-  bgp::write_archive_file(campaign->dataset(), archive_path);
-  core::AnalysisConfig config;
-  config.atoms.threads = threads;
-  config.with_stability = true;
-  config.with_updates = true;
-  bgp::ArchiveView view(archive_path);
-  core::analyze(view, &view, config);
+  const auto plan = [](const Context&) {
+    return std::vector<core::CampaignConfig>{small_campaign()};
+  };
+  Registry registry;
+  registry.add({"archive", "", "", "",
+                [&archive_path](Context& ctx) {
+                  bgp::write_archive_file(
+                      ctx.campaign(small_campaign()).dataset(), archive_path);
+                },
+                plan});
+  registry.add({"analyze", "", "", "",
+                [&archive_path](Context& ctx) {
+                  ctx.campaign(small_campaign());
+                  ctx.run_sweep(
+                      {core::quarter_job(net::Family::kIPv4, 2010.0, 0.01, 7),
+                       core::quarter_job(net::Family::kIPv4, 2010.25, 0.01,
+                                         7)});
+                  core::AnalysisConfig config;
+                  config.atoms.threads = ctx.threads();
+                  config.with_stability = true;
+                  config.with_updates = true;
+                  bgp::ArchiveView view(archive_path);
+                  core::analyze(view, &view, config);
+                },
+                plan});
+  RunOptions options;
+  options.threads = threads;
+  run_experiments(registry.all(), options);
 }
 
 /// Runs the workload from a zeroed registry and returns the trace doc.
