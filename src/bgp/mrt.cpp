@@ -105,8 +105,11 @@ class Reader {
   }
   net::IpAddress address(std::uint16_t afi) {
     if (afi == kAfiIpv4) return net::IpAddress::v4(u32());
-    const std::uint64_t hi = (std::uint64_t{u32()} << 32) | u32();
-    const std::uint64_t lo = (std::uint64_t{u32()} << 32) | u32();
+    // One read per statement: the operands of `|` are unsequenced.
+    std::uint64_t hi = std::uint64_t{u32()} << 32;
+    hi |= u32();
+    std::uint64_t lo = std::uint64_t{u32()} << 32;
+    lo |= u32();
     return net::IpAddress::v6(hi, lo);
   }
   net::Prefix prefix(net::Family family) {

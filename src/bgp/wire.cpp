@@ -380,8 +380,11 @@ DecodedAttributes decode_attributes(std::span<const std::uint8_t> block) {
         }
         const std::uint8_t nh_len = body.u8();
         if (nh_len != 16) throw WireError("bad MP next-hop length");
-        const std::uint64_t hi = (std::uint64_t{body.u32()} << 32) | body.u32();
-        const std::uint64_t lo = (std::uint64_t{body.u32()} << 32) | body.u32();
+        // One read per statement: the operands of `|` are unsequenced.
+        std::uint64_t hi = std::uint64_t{body.u32()} << 32;
+        hi |= body.u32();
+        std::uint64_t lo = std::uint64_t{body.u32()} << 32;
+        lo |= body.u32();
         out.next_hop = net::IpAddress::v6(hi, lo);
         body.u8();  // reserved
         while (!body.at_end()) {

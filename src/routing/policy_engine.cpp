@@ -73,8 +73,4 @@ std::uint32_t GaoRexfordEngine::selection_rank(
   return 0;
 }
 
-bool GaoRexfordEngine::leaks(topo::NodeId node) const {
-  return node == leaker_ && leaker_ != topo::kNoNode;
-}
-
 }  // namespace bgpatoms::routing

@@ -12,8 +12,8 @@
 //   * selection_rank — an extra selection key ordered directly after
 //     path preference and length (lower wins; a depref-style ROV policy
 //     ranks invalid sources worse instead of dropping them),
-//   * leaks — marks a transit as violating the valley-free export rule
-//     (route leak): the Propagator re-runs propagation with the leaker's
+//   * leakers — the transits that violate the valley-free export rule
+//     (route leak): the Propagator re-runs propagation with each leaker's
 //     learned route re-exported to its providers and peers.
 //
 // A route computation can have several sources (multi-origin prefixes:
@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "routing/policy.h"
 #include "routing/rov.h"
@@ -59,9 +60,10 @@ class PolicyEngine {
   virtual std::uint32_t selection_rank(const RouteSource& src,
                                        std::uint16_t source_index) const = 0;
 
-  /// True when `node` re-exports learned routes in violation of the
-  /// valley-free rule (route leak).
-  virtual bool leaks(topo::NodeId node) const = 0;
+  /// The nodes that re-export learned routes in violation of the
+  /// valley-free rule (route leak); empty for a leak-free computation.
+  /// Read once per computation, so it costs nothing per node.
+  virtual std::span<const topo::NodeId> leakers() const = 0;
 };
 
 /// The standard model: Gao-Rexford export with the per-unit policy knobs,
@@ -81,7 +83,10 @@ class GaoRexfordEngine final : public PolicyEngine {
   bool allow_import(const RouteSource& src, topo::NodeId node) const override;
   std::uint32_t selection_rank(const RouteSource& src,
                                std::uint16_t source_index) const override;
-  bool leaks(topo::NodeId node) const override;
+  std::span<const topo::NodeId> leakers() const override {
+    if (leaker_ == topo::kNoNode) return {};
+    return {&leaker_, 1};
+  }
 
  private:
   const topo::AsGraph& graph_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 namespace bgpatoms::routing {
 
@@ -9,6 +10,9 @@ namespace {
 
 /// RouteTable::best_ value of a node without a candidate in the level.
 constexpr std::uint32_t kNoCandidate = UINT32_MAX;
+
+/// RouteTable::closure_ values.
+enum : std::uint8_t { kOutside = 0, kInside = 1, kBorder = 2 };
 
 }  // namespace
 
@@ -24,24 +28,36 @@ void Propagator::compute(NodeId origin, const UnitPolicy* policy,
                          RouteTable& out) const {
   const RouteSource source{origin, policy, /*rov_invalid=*/false};
   const GaoRexfordEngine engine(graph_);
-  compute(std::span<const RouteSource>(&source, 1), engine, out);
+  std::vector<NodeId> every(graph_.size());
+  std::iota(every.begin(), every.end(), NodeId{0});
+  compute(std::span<const RouteSource>(&source, 1), engine, every, out);
 }
 
 void Propagator::compute(std::span<const RouteSource> sources,
-                         const PolicyEngine& engine, RouteTable& t) const {
-  compute_pass(sources, engine, {}, {}, t);
+                         const PolicyEngine& engine,
+                         std::span<const NodeId> targets, RouteTable& t) const {
+  t.provider_settled_ = 0;
+  // The leak pass reads each leaker's first-pass class and parent chain,
+  // so the leakers are targets of the first pass too.
+  const std::span<const NodeId> leaking = engine.leakers();
+  std::span<const NodeId> first_targets = targets;
+  std::vector<NodeId> with_leakers;
+  if (!leaking.empty()) {
+    with_leakers.assign(targets.begin(), targets.end());
+    with_leakers.insert(with_leakers.end(), leaking.begin(), leaking.end());
+    first_targets = with_leakers;
+  }
+  compute_pass(sources, engine, {}, {}, first_targets, t);
 
   // Route-leak second pass: re-run with every reachable leaker's learned
   // route re-exported valley-violatingly. A leaker whose route is already
   // customer-class (or its own) exports everywhere under the normal rule,
   // so only peer/provider-class leaker routes need the extra pass.
   std::vector<NodeId> leakers;
-  for (NodeId v = 0; v < graph_.size(); ++v) {
-    if (!engine.leaks(v)) continue;
-    if (t.cls[v] != RouteClass::kPeer && t.cls[v] != RouteClass::kProvider) {
-      continue;
+  for (const NodeId v : leaking) {
+    if (t.cls[v] == RouteClass::kPeer || t.cls[v] == RouteClass::kProvider) {
+      leakers.push_back(v);
     }
-    leakers.push_back(v);
   }
   if (leakers.empty()) return;
 
@@ -62,13 +78,14 @@ void Propagator::compute(std::span<const RouteSource> sources,
       cur = t.parent[cur];
     }
   }
-  compute_pass(sources, engine, pinned, leakers, t);
+  compute_pass(sources, engine, pinned, leakers, targets, t);
 }
 
 void Propagator::compute_pass(std::span<const RouteSource> sources,
                               const PolicyEngine& engine,
                               std::span<const PinnedEntry> pinned,
                               std::span<const topo::NodeId> leakers,
+                              std::span<const topo::NodeId> targets,
                               RouteTable& t) const {
   const std::size_t n = graph_.size();
   t.dist.assign(n, UINT32_MAX);
@@ -124,9 +141,10 @@ void Propagator::compute_pass(std::span<const RouteSource> sources,
 
   // Drains one phase level by level: each node offered a route at level
   // d takes its lowest-key candidate and `assign_cls`; once the whole
-  // level is final, its nodes' edges are relaxed (where `edge_ok(rel)`
-  // holds) into the levels above.
+  // level is final, its nodes' edges are relaxed (where `edge_ok(nb)`
+  // holds) into the levels above. Returns the number of nodes settled.
   auto drain = [&](RouteClass assign_cls, auto edge_ok) {
+    std::uint32_t settled = 0;
     for (std::uint32_t d = 1; d <= top; ++d) {
       std::vector<Candidate> level = std::move(buckets[d]);
       for (std::uint32_t i = 0; i < level.size(); ++i) {
@@ -148,26 +166,28 @@ void Propagator::compute_pass(std::span<const RouteSource> sources,
         level[won++] = c;
       }
       level.resize(won);
+      settled += static_cast<std::uint32_t>(won);
       for (const Candidate& c : level) {
         for (const auto& nb : graph_.node(c.node).neighbors) {
-          if (edge_ok(nb.rel)) relax(c.node, nb);
+          if (edge_ok(nb)) relax(c.node, nb);
         }
       }
       level.clear();
       buckets[d] = std::move(level);  // keeps the capacity for reuse
     }
     top = 0;
+    return settled;
   };
 
   // --- phase 1: customer routes climb provider (and sibling) edges -----
-  const auto climb_ok = [](Rel r) {
-    return r == Rel::kProvider || r == Rel::kSibling;
+  const auto climb_ok = [](const Neighbor& nb) {
+    return nb.rel == Rel::kProvider || nb.rel == Rel::kSibling;
   };
   if (pinned.empty()) {
     for (const RouteSource& s : sources) {
       if (t.source[s.origin] == kNoSource) continue;
       for (const auto& nb : graph_.node(s.origin).neighbors) {
-        if (climb_ok(nb.rel)) relax(s.origin, nb);
+        if (climb_ok(nb)) relax(s.origin, nb);
       }
     }
   } else {
@@ -177,7 +197,7 @@ void Propagator::compute_pass(std::span<const RouteSource> sources,
       if (t.cls[u] != RouteClass::kSelf && t.cls[u] != RouteClass::kCustomer)
         continue;
       for (const auto& nb : graph_.node(u).neighbors) {
-        if (climb_ok(nb.rel)) relax(u, nb);
+        if (climb_ok(nb)) relax(u, nb);
       }
     }
   }
@@ -203,19 +223,44 @@ void Propagator::compute_pass(std::span<const RouteSource> sources,
       if (nb.rel == Rel::kPeer) relax(leaker, nb, /*leak_edge=*/true);
     }
   }
-  drain(RouteClass::kPeer, [](Rel r) { return r == Rel::kSibling; });
+  drain(RouteClass::kPeer,
+        [](const Neighbor& nb) { return nb.rel == Rel::kSibling; });
 
   // --- phase 3: provider routes descend customer (and sibling) edges ---
-  const auto descend_ok = [](Rel r) {
-    return r == Rel::kCustomer || r == Rel::kSibling;
-  };
-  for (NodeId u = 0; u < n; ++u) {
-    if (t.cls[u] == RouteClass::kNone) continue;
-    for (const auto& nb : graph_.node(u).neighbors) {
-      if (descend_ok(nb.rel)) relax(u, nb);
+  // Only into the upward closure of the still-unrouted targets, walked
+  // breadth-first over the edges phase 1 climbs. The routed nodes met on
+  // the way border it and seed the phase.
+  auto& closure = t.closure_;
+  auto& walk = t.walk_;
+  closure.assign(n, kOutside);
+  walk.clear();
+  for (const NodeId target : targets) {
+    if (t.cls[target] != RouteClass::kNone || closure[target] != kOutside) {
+      continue;
+    }
+    closure[target] = kInside;
+    walk.push_back(target);
+  }
+  for (std::size_t i = 0; i < walk.size(); ++i) {
+    if (closure[walk[i]] == kBorder) continue;
+    for (const auto& nb : graph_.node(walk[i]).neighbors) {
+      if (!climb_ok(nb) || closure[nb.node] != kOutside) continue;
+      closure[nb.node] =
+          t.cls[nb.node] == RouteClass::kNone ? kInside : kBorder;
+      walk.push_back(nb.node);
     }
   }
-  drain(RouteClass::kProvider, descend_ok);
+  const auto descend_into_closure = [&](const Neighbor& nb) {
+    return (nb.rel == Rel::kCustomer || nb.rel == Rel::kSibling) &&
+           closure[nb.node] == kInside;
+  };
+  for (const NodeId u : walk) {
+    if (closure[u] != kBorder) continue;
+    for (const auto& nb : graph_.node(u).neighbors) {
+      if (descend_into_closure(nb)) relax(u, nb);
+    }
+  }
+  t.provider_settled_ += drain(RouteClass::kProvider, descend_into_closure);
 }
 
 void Propagator::append_path(const RouteTable& t, NodeId node,

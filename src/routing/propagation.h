@@ -26,7 +26,20 @@
 // ROV dropping are applied during relaxation and a policy change produces
 // exactly the path changes real BGP would converge to.
 //
-// Route leaks: when the engine marks a reachable transit as leaking, a
+// Callers name the nodes whose routes they will read (`targets`; the
+// simulator's are its vantage points). Phases 1 and 2 run over the whole
+// graph; the provider phase runs only over the upward closure of the
+// targets still unrouted after them: every node reachable from those
+// targets over provider and sibling edges. This is exact at the targets.
+// In phase 3 a node is offered routes only by its providers and
+// siblings, so every candidate of a closure node comes from another
+// closure node or from a routed node bordering the closure; those border
+// nodes seed the phase, relaxation stays inside the closure, and the
+// level order and selection key are unchanged. A target's parent chain
+// runs through settled nodes only. Passing every node as a target gives
+// the full table through the same code.
+//
+// Route leaks: when one of the engine's leakers is reachable, a
 // second pass re-runs propagation with the leaker's learned route
 // re-exported to its providers and peers as if customer-learned — the
 // classic valley violation. The leaker's own upstream path is pinned from
@@ -57,7 +70,10 @@ enum class RouteClass : std::uint8_t {
 /// RouteTable::source value for unreachable nodes.
 constexpr std::uint16_t kNoSource = UINT16_MAX;
 
-/// Per-node routing outcome of one propagation run.
+/// Per-node routing outcome of one propagation run. Exact at the run's
+/// targets and at every node on their parent chains; every other entry is
+/// unspecified (it may read unreachable where the full table holds a
+/// provider route).
 struct RouteTable {
   std::vector<std::uint32_t> dist;     // AS-path entry count; UINT32_MAX = ∞
   std::vector<RouteClass> cls;
@@ -69,6 +85,10 @@ struct RouteTable {
   bool reachable(topo::NodeId v) const {
     return cls[v] != RouteClass::kNone;
   }
+
+  /// Nodes the provider phase settled in the last computation (both
+  /// passes of a leak).
+  std::uint32_t provider_settled() const { return provider_settled_; }
 
  private:
   friend class Propagator;
@@ -88,6 +108,12 @@ struct RouteTable {
   // the index of its best candidate in the level being drained.
   std::vector<std::vector<Candidate>> buckets_;
   std::vector<std::uint32_t> best_;
+  // Provider-phase scratch: per node whether it is inside the targets'
+  // upward closure, a routed node on its border, or neither; and the
+  // closure and border nodes in the order the walk found them.
+  std::vector<std::uint8_t> closure_;
+  std::vector<topo::NodeId> walk_;
+  std::uint32_t provider_settled_ = 0;
 };
 
 class Propagator {
@@ -95,15 +121,19 @@ class Propagator {
   explicit Propagator(const topo::AsGraph& graph);
 
   /// Computes routes toward `sources` (each an origin announcing the unit)
-  /// with every edge decision delegated to `engine`. Reuses `out`'s
-  /// storage, scratch included. Const and state-free: concurrent calls
-  /// are safe with distinct `out` tables.
+  /// with every edge decision delegated to `engine`, exact at `targets`
+  /// and along their parent chains; other entries of `out` are
+  /// unspecified. The provider phase covers only the targets' upward
+  /// closure, and the engine's leakers are targets of the first pass.
+  /// Reuses `out`'s storage, scratch included. Const and state-free:
+  /// concurrent calls are safe with distinct `out` tables.
   void compute(std::span<const RouteSource> sources,
-               const PolicyEngine& engine, RouteTable& out) const;
+               const PolicyEngine& engine,
+               std::span<const topo::NodeId> targets, RouteTable& out) const;
 
-  /// One-line form for tests and micro-benchmarks: `origin` as the only
-  /// source (nullptr = default announce-everywhere policy) through the
-  /// default GaoRexfordEngine.
+  /// One-line form for tests: `origin` as the only source (nullptr =
+  /// default announce-everywhere policy) through the default
+  /// GaoRexfordEngine, every node a target (the full table).
   void compute(topo::NodeId origin, const UnitPolicy* policy,
                RouteTable& out) const;
 
@@ -131,13 +161,14 @@ class Propagator {
     std::uint16_t source;
   };
 
-  /// One full three-phase propagation. `pinned` entries (leak pass) are
-  /// finalized up front; `leakers` additionally re-export to providers
-  /// and peers.
+  /// One three-phase propagation, exact at `targets`. `pinned` entries
+  /// (leak pass) are finalized up front; `leakers` additionally re-export
+  /// to providers and peers.
   void compute_pass(std::span<const RouteSource> sources,
                     const PolicyEngine& engine,
                     std::span<const PinnedEntry> pinned,
                     std::span<const topo::NodeId> leakers,
+                    std::span<const topo::NodeId> targets,
                     RouteTable& out) const;
 
   const topo::AsGraph& graph_;

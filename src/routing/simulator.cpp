@@ -62,6 +62,7 @@ Simulator::Simulator(topo::Topology topo, SimOptions opt)
   // local policy changes are visible only to themselves — the population
   // behind the paper's single-observer splits (§4.4.1).
   for (std::uint16_t i = 0; i < topo_.vantage_points.size(); ++i) {
+    vp_nodes_.push_back(topo_.vantage_points[i].node);
     const auto tier = topo_.graph.node(topo_.vantage_points[i].node).tier;
     if (tier == topo::Tier::kEdge || tier == topo::Tier::kContent) {
       edge_vps_.push_back(i);
@@ -364,6 +365,7 @@ void Simulator::refresh_unit_paths() {
     return policies_.units[a].origin < policies_.units[b].origin;
   });
   std::size_t propagations = 0;
+  std::size_t provider_settled = 0;
   std::size_t i = 0;
   while (i < dirty.size()) {
     const NodeId origin = policies_.units[dirty[i]].origin;
@@ -386,10 +388,12 @@ void Simulator::refresh_unit_paths() {
       }
       compute_unit_group(origin, group);
       ++propagations;
+      provider_settled += scratch_table_.provider_settled();
     }
     i = j;
   }
   OBS_COUNT_N("routing.propagations", propagations);
+  OBS_COUNT_N("routing.provider_settled", provider_settled);
 }
 
 void Simulator::compute_unit_group(NodeId origin,
@@ -414,7 +418,7 @@ void Simulator::compute_unit_group(NodeId origin,
   const GaoRexfordEngine engine(topo_.graph, rov_active_ ? &rov_ : nullptr,
                                 leaker);
   propagator_.compute(std::span<const RouteSource>(sources, n_sources),
-                      engine, scratch_table_);
+                      engine, vp_nodes_, scratch_table_);
 
   std::vector<VpPath> paths;
   const auto& vps = topo_.vantage_points;
@@ -911,6 +915,7 @@ void Simulator::emit_scenario_bursts(std::vector<bgp::UpdateRecord>& out,
   // touched units' vantage-point paths, emit the burst — then revert
   // everything in reverse order. No RNG is consumed, and advance_to later
   // replays the exact same transitions permanently.
+  OBS_SPAN("routing.scenario_preview");
   for (const auto& tr : window) {
     const std::vector<UnitId> touched = apply_transition(tr, /*invert=*/false);
     std::vector<std::vector<VpPath>> before;

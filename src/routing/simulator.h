@@ -17,6 +17,10 @@
 //   sim.advance_to(7 * kDay);   sim.capture();
 //   // sim.dataset() now holds 4 snapshots + the update stream.
 //
+// Routes are read only at the vantage points, so every propagation names
+// the VP nodes as its targets and the provider phase settles only their
+// upward closure (routing/propagation.h).
+//
 // A Simulator is fully self-contained: it owns its topology, policies,
 // RNG, caches and dataset, and touches no global mutable state. Distinct
 // instances may therefore run on concurrent threads (the share-nothing
@@ -223,6 +227,9 @@ class Simulator {
   std::unordered_map<UnitId, topo::NodeId> unit_leaker_;    // active leaks
 
   // caches / scratch
+  /// Node of each vantage point, by VP index: every propagation's targets.
+  std::vector<topo::NodeId> vp_nodes_;
+  /// Exact at vp_nodes_ and their parent chains only.
   RouteTable scratch_table_;
   std::vector<net::Asn> path_buf_;  // one VP path: peer ASN, then RIB path
   std::vector<std::uint32_t> path_len_cache_;

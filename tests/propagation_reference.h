@@ -188,7 +188,8 @@ inline void compute_pass(const AsGraph& graph,
 }  // namespace reference_detail
 
 /// The heap-based Propagator::compute: same sources, engine hooks, phases
-/// and leak pass, over `graph`.
+/// and leak pass, over `graph`, with every node a target (the full
+/// table).
 inline void reference_compute(const topo::AsGraph& graph,
                               std::span<const routing::RouteSource> sources,
                               const routing::PolicyEngine& engine,
@@ -203,12 +204,10 @@ inline void reference_compute(const topo::AsGraph& graph,
   // customer-class (or its own) exports everywhere under the normal rule,
   // so only peer/provider-class leaker routes need the extra pass.
   std::vector<NodeId> leakers;
-  for (NodeId v = 0; v < graph.size(); ++v) {
-    if (!engine.leaks(v)) continue;
-    if (t.cls[v] != RouteClass::kPeer && t.cls[v] != RouteClass::kProvider) {
-      continue;
+  for (const NodeId v : engine.leakers()) {
+    if (t.cls[v] == RouteClass::kPeer || t.cls[v] == RouteClass::kProvider) {
+      leakers.push_back(v);
     }
-    leakers.push_back(v);
   }
   if (leakers.empty()) return;
 

@@ -1,6 +1,7 @@
 // Gao-Rexford propagation-engine tests on hand-built graphs, plus a
-// differential test of the level-by-level drain against the heap-based
-// reference (propagation_reference.h) on generated topologies.
+// differential test of the level-by-level drain, on full and targeted
+// runs, against the heap-based reference (propagation_reference.h) on
+// generated topologies.
 //
 // Node/ASN convention below: add_node(asn, ...) and we keep asn == 10*(id+1)
 // so paths are easy to read in failure output.
@@ -334,6 +335,59 @@ TEST(Propagation, PeerOnlyAnnouncementVisibilityScope) {
   EXPECT_EQ(path_at(prop, table, cust), (std::vector<net::Asn>{30, 10}));
 }
 
+TEST(Propagation, TargetReachesProviderRouteThroughSibling) {
+  // o's provider p exports down to its customer s1, whose sibling s2 has
+  // no other neighbor: s2's only route is p's, spread over the sibling
+  // edge. Only s2 is a target, so its closure must follow that edge.
+  GraphBuilder b;
+  const NodeId o = b.add(10), p = b.add(20, Tier::kTransit), s1 = b.add(30),
+               s2 = b.add(40);
+  b.provider(o, p);
+  b.provider(s1, p);
+  b.sibling(s1, s2);
+
+  Propagator prop(b.g);
+  const RouteSource source{o, nullptr, false};
+  RouteTable table;
+  prop.compute(std::span(&source, 1), GaoRexfordEngine(b.g),
+               std::span(&s2, 1), table);
+  ASSERT_TRUE(table.reachable(s2));
+  EXPECT_EQ(table.cls[s2], RouteClass::kProvider);
+  EXPECT_EQ(path_at(prop, table, s2), (std::vector<net::Asn>{30, 20, 10}));
+  EXPECT_EQ(table.provider_settled(), 2u) << "s1 and s2, nothing else";
+}
+
+TEST(Propagation, LeakerOutsideTargetsStillLeaks) {
+  // The leak of Scenario.RouteLeakReExportsToProviders with t2 the only
+  // target: t2 hears o only through the leak, which needs the leaker's
+  // first-pass (provider) route although nobody reads it.
+  GraphBuilder b;
+  const NodeId o = b.add(10), t1 = b.add(20, Tier::kTransit),
+               leaker = b.add(30, Tier::kTransit),
+               t2 = b.add(40, Tier::kTransit), s = b.add(50);
+  b.provider(o, t1);
+  b.provider(leaker, t1);
+  b.provider(leaker, t2);
+  b.sibling(leaker, s);
+
+  Propagator prop(b.g);
+  const RouteSource source{o, nullptr, false};
+  const GaoRexfordEngine engine(b.g, nullptr, leaker);
+  RouteTable table;
+  prop.compute(std::span(&source, 1), engine, std::span(&t2, 1), table);
+  ASSERT_TRUE(table.reachable(t2));
+  EXPECT_EQ(table.cls[t2], RouteClass::kCustomer);
+  EXPECT_EQ(path_at(prop, table, t2), (std::vector<net::Asn>{30, 20, 10}));
+
+  // The leaker's sibling s is not a leak receiver: in the leak pass it
+  // learns the leaker's pinned provider route over the sibling edge, so
+  // the pinned leaker must seed the provider phase's sibling edges too.
+  prop.compute(std::span(&source, 1), engine, std::span(&s, 1), table);
+  ASSERT_TRUE(table.reachable(s));
+  EXPECT_EQ(table.cls[s], RouteClass::kProvider);
+  EXPECT_EQ(path_at(prop, table, s), (std::vector<net::Asn>{30, 20, 10}));
+}
+
 TEST(Propagation, DistMatchesExtractedPathLength) {
   GraphBuilder b;
   const NodeId o = b.add(10), p = b.add(20), t = b.add(30, Tier::kTier1),
@@ -356,6 +410,24 @@ TEST(Propagation, DistMatchesExtractedPathLength) {
 
 // --- differential oracle ---------------------------------------------------
 
+/// True when `got` and `want` agree on every field of node `v`.
+bool same_entry(const RouteTable& got, const RouteTable& want, NodeId v) {
+  return got.dist[v] == want.dist[v] && got.cls[v] == want.cls[v] &&
+         got.parent[v] == want.parent[v] &&
+         got.edge_prepend[v] == want.edge_prepend[v] &&
+         got.source[v] == want.source[v];
+}
+
+std::string describe(const RouteTable& got, const RouteTable& want,
+                     NodeId v) {
+  return "node " + std::to_string(v) + ": dist " +
+         std::to_string(got.dist[v]) + " vs " + std::to_string(want.dist[v]) +
+         ", parent " + std::to_string(got.parent[v]) + " vs " +
+         std::to_string(want.parent[v]) + ", source " +
+         std::to_string(got.source[v]) + " vs " +
+         std::to_string(want.source[v]);
+}
+
 /// Number of nodes whose entry differs between `got` and `want` in any
 /// field; the first one is described in `first`.
 std::size_t table_mismatches(const RouteTable& got, const RouteTable& want,
@@ -366,20 +438,30 @@ std::size_t table_mismatches(const RouteTable& got, const RouteTable& want,
   }
   std::size_t bad = 0;
   for (NodeId v = 0; v < want.dist.size(); ++v) {
-    if (got.dist[v] == want.dist[v] && got.cls[v] == want.cls[v] &&
-        got.parent[v] == want.parent[v] &&
-        got.edge_prepend[v] == want.edge_prepend[v] &&
-        got.source[v] == want.source[v]) {
-      continue;
+    if (!same_entry(got, want, v) && bad++ == 0) {
+      first = describe(got, want, v);
     }
-    if (bad++ == 0) {
-      first = "node " + std::to_string(v) + ": dist " +
-              std::to_string(got.dist[v]) + " vs " +
-              std::to_string(want.dist[v]) + ", parent " +
-              std::to_string(got.parent[v]) + " vs " +
-              std::to_string(want.parent[v]) + ", source " +
-              std::to_string(got.source[v]) + " vs " +
-              std::to_string(want.source[v]);
+  }
+  return bad;
+}
+
+/// Number of `targets` whose entry, or the entry of a node on their
+/// parent chain in `want`, differs between `got` and `want`; the first
+/// such node is described in `first`.
+std::size_t target_mismatches(const RouteTable& got, const RouteTable& want,
+                              std::span<const NodeId> targets,
+                              std::string& first) {
+  std::size_t bad = 0;
+  for (const NodeId target : targets) {
+    for (NodeId v = target;; v = want.parent[v]) {
+      if (!same_entry(got, want, v)) {
+        if (bad++ == 0) {
+          first = describe(got, want, v) + " (on the chain of target " +
+                  std::to_string(target) + ")";
+        }
+        break;
+      }
+      if (!want.reachable(v) || want.cls[v] == RouteClass::kSelf) break;
     }
   }
   return bad;
@@ -395,9 +477,11 @@ TEST(Propagation, MatchesReferenceOnGeneratedTopologies) {
   const Era eras[] = {{false, 2024, 0.005}, {false, 2004, 0.02},
                       {true, 2014, 0.05},   {false, 2012, 0.008},
                       {true, 2024, 0.02}};
-  RouteTable got;  // reused across every topology and run
+  RouteTable got;  // reused across every topology and run, full or targeted
   RouteTable want;
   std::size_t runs = 0, leak_passes = 0;
+  std::uint64_t full_settled = 0, targeted_settled = 0;
+  Rng pick(11);  // draws each targeted run's random targets
   for (const Era& era : eras) {
     const topo::EraParams params = era.v6
                                        ? topo::era_params_v6(era.year, era.scale)
@@ -408,6 +492,9 @@ TEST(Propagation, MatchesReferenceOnGeneratedTopologies) {
     const auto& units = policies.units;
     ASSERT_FALSE(units.empty());
     const Propagator prop(g);
+    std::vector<NodeId> every(g.size());
+    for (NodeId v = 0; v < g.size(); ++v) every[v] = v;
+    std::vector<NodeId> targets;
 
     RovState rov;
     Rng rng(7);
@@ -423,16 +510,30 @@ TEST(Propagation, MatchesReferenceOnGeneratedTopologies) {
     const std::string where = std::string(era.v6 ? "v6 " : "v4 ") +
                               std::to_string(era.year) + " (" +
                               std::to_string(g.size()) + " ASes), unit ";
+    // Each case runs twice on the one table: every node a target (the
+    // whole table must match), then the vantage points plus a random ~5%
+    // of the nodes (the targets and their parent chains must match).
     auto check = [&](std::span<const RouteSource> sources,
                      const PolicyEngine& engine, const char* what,
                      std::size_t u) {
       if (HasFatalFailure()) return;  // report the first mismatch only
       test::reference_compute(g, sources, engine, want);
-      prop.compute(sources, engine, got);
+      prop.compute(sources, engine, every, got);
+      full_settled += got.provider_settled();
       std::string first;
-      const std::size_t bad = table_mismatches(got, want, first);
+      ASSERT_EQ(table_mismatches(got, want, first), 0u)
+          << where << u << ", " << what << ": " << first;
+
+      targets.clear();
+      for (const auto& vp : topo.vantage_points) targets.push_back(vp.node);
+      for (NodeId v = 0; v < g.size(); ++v) {
+        if (pick.chance(0.05)) targets.push_back(v);
+      }
+      prop.compute(sources, engine, targets, got);
+      targeted_settled += got.provider_settled();
+      ASSERT_EQ(target_mismatches(got, want, targets, first), 0u)
+          << where << u << ", " << what << ", targeted: " << first;
       ++runs;
-      ASSERT_EQ(bad, 0u) << where << u << ", " << what << ": " << first;
     };
 
     const GaoRexfordEngine plain(g);
@@ -464,6 +565,9 @@ TEST(Propagation, MatchesReferenceOnGeneratedTopologies) {
   // The cases reached what they are meant to exercise.
   EXPECT_GT(runs, 1000u);
   EXPECT_GT(leak_passes, 10u) << "no run took the second (leak) pass";
+  EXPECT_LT(targeted_settled, full_settled)
+      << "the targeted runs' provider phase never left a node out";
+  EXPECT_GT(targeted_settled, 0u) << "no target took a provider route";
 }
 
 }  // namespace

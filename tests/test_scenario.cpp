@@ -37,6 +37,13 @@ std::vector<net::Asn> path_at(const Propagator& prop, const RouteTable& t,
   return hops;
 }
 
+/// Every node of `g`, as targets for a full table.
+std::vector<NodeId> every_node(const AsGraph& g) {
+  std::vector<NodeId> all(g.size());
+  for (NodeId v = 0; v < g.size(); ++v) all[v] = v;
+  return all;
+}
+
 // --- make_subprefix --------------------------------------------------------
 
 TEST(Scenario, MakeSubprefixHalvesV4) {
@@ -128,7 +135,7 @@ TEST(Scenario, MultiOriginNodesPickTheNearerSource) {
                                          {o2, nullptr, false}};
   const GaoRexfordEngine engine(b.g);
   RouteTable t;
-  prop.compute(sources, engine, t);
+  prop.compute(sources, engine, every_node(b.g), t);
 
   EXPECT_EQ(t.source[o1], 0);
   EXPECT_EQ(t.source[o2], 1);
@@ -150,7 +157,7 @@ TEST(Scenario, RovDropsInvalidSourceAtValidatingNodes) {
   const std::vector<RouteSource> sources{{o, nullptr, /*rov_invalid=*/true}};
   const GaoRexfordEngine engine(b.g, &rov);
   RouteTable t;
-  prop.compute(sources, engine, t);
+  prop.compute(sources, engine, every_node(b.g), t);
 
   EXPECT_TRUE(t.reachable(p)) << "non-validating ASes still accept";
   EXPECT_FALSE(t.reachable(q)) << "validating AS drops the invalid route";
@@ -172,10 +179,11 @@ TEST(Scenario, RouteLeakReExportsToProviders) {
   const std::vector<RouteSource> sources{{o, nullptr, false}};
   RouteTable t;
 
-  prop.compute(sources, GaoRexfordEngine(b.g), t);
+  prop.compute(sources, GaoRexfordEngine(b.g), every_node(b.g), t);
   EXPECT_FALSE(t.reachable(t2)) << "valley-free keeps t2 dark";
 
-  prop.compute(sources, GaoRexfordEngine(b.g, nullptr, leaker), t);
+  prop.compute(sources, GaoRexfordEngine(b.g, nullptr, leaker),
+               every_node(b.g), t);
   ASSERT_TRUE(t.reachable(t2));
   EXPECT_EQ(t.cls[t2], RouteClass::kCustomer)
       << "the leaked route arrives as if customer-learned";
@@ -208,7 +216,9 @@ TEST(Scenario, SelectionRankBreaksTiesBeforeNeighborAsn) {
                                  std::uint16_t source_index) const override {
       return source_index == 1 ? 0 : 1;
     }
-    bool leaks(NodeId node) const override { return base_.leaks(node); }
+    std::span<const NodeId> leakers() const override {
+      return base_.leakers();
+    }
 
    private:
     GaoRexfordEngine base_;
@@ -218,9 +228,9 @@ TEST(Scenario, SelectionRankBreaksTiesBeforeNeighborAsn) {
   const std::vector<RouteSource> sources{{o1, nullptr, false},
                                          {o2, nullptr, false}};
   RouteTable t;
-  prop.compute(sources, GaoRexfordEngine(b.g), t);
+  prop.compute(sources, GaoRexfordEngine(b.g), every_node(b.g), t);
   EXPECT_EQ(t.source[v], 0) << "default tie-break: lower neighbor ASN";
-  prop.compute(sources, PreferSecond(b.g), t);
+  prop.compute(sources, PreferSecond(b.g), every_node(b.g), t);
   EXPECT_EQ(t.source[v], 1) << "rank outranks the neighbor-ASN tie-break";
 }
 

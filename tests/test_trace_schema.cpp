@@ -131,6 +131,7 @@ TEST(TraceSchema, ValidatesAndCountersAreThreadCountInvariant) {
   EXPECT_GT(counter(*c1, "archive.sections"), 0u);
   EXPECT_GT(counter(*c1, "archive.crc_checks"), 0u);
   EXPECT_GT(counter(*c1, "routing.propagations"), 0u);
+  EXPECT_GT(counter(*c1, "routing.provider_settled"), 0u);
 
   // Timing fields: present and well-formed in both, values unconstrained.
   for (const json::Value* t : {&t1, &t8}) {

@@ -82,15 +82,17 @@ TEST(Wire, RoundTripV6ViaMpReach) {
   const auto rec = f.record({f.prefix("2001:db8::/32"),
                              f.prefix("2001:db8:1::/48")},
                             {f.prefix("2001:db9::/32")});
-  const auto decoded =
-      decode_update(encode_update(f.ds, rec), net::Family::kIPv6);
+  // Four distinct 32-bit words, so a swapped word shows.
+  const auto next_hop =
+      net::IpAddress::v6(0x20010db8'00010002ULL, 0x00030004'00050006ULL);
+  const auto decoded = decode_update(encode_update(f.ds, rec, next_hop),
+                                     net::Family::kIPv6);
   ASSERT_EQ(decoded.announced.size(), 2u);
   EXPECT_EQ(decoded.announced[0], *net::Prefix::parse("2001:db8::/32"));
   EXPECT_EQ(decoded.announced[1], *net::Prefix::parse("2001:db8:1::/48"));
   ASSERT_EQ(decoded.withdrawn.size(), 1u);
   EXPECT_EQ(decoded.withdrawn[0], *net::Prefix::parse("2001:db9::/32"));
-  ASSERT_TRUE(decoded.next_hop.has_value());
-  EXPECT_FALSE(decoded.next_hop->is_v4());
+  EXPECT_EQ(decoded.next_hop, next_hop);
 }
 
 TEST(Wire, ExplicitNextHop) {
