@@ -43,7 +43,9 @@ void run(Context& ctx) {
     bgp::Dataset ds = full_ds;
     ds.snapshots[0].peers.resize(k);
     const auto snap = core::sanitize(ds, 0, lax);
-    const auto atoms = core::compute_atoms(snap);
+    core::AtomOptions atom_options;
+    atom_options.threads = ctx.threads();
+    const auto atoms = core::compute_atoms(snap, atom_options);
     const auto stats = core::general_stats(atoms);
     table.add_row(
         {std::to_string(k), std::to_string(snap.report.full_feed_peers),

@@ -17,7 +17,8 @@
 namespace bgpatoms::bench {
 namespace {
 
-DailySplitCampaign compute(int days, double scale, std::uint64_t seed) {
+DailySplitCampaign compute(int days, double scale, std::uint64_t seed,
+                           int threads) {
   routing::SimOptions opt;
   opt.seed = seed;
   opt.weekly_churn = false;
@@ -28,12 +29,14 @@ DailySplitCampaign compute(int days, double scale, std::uint64_t seed) {
   DailySplitCampaign out;
   std::deque<core::SanitizedSnapshot> snaps;
   std::deque<core::AtomSet> atom_sets;
+  core::AtomOptions atom_options;
+  atom_options.threads = threads;
 
   for (int day = 0; day < days; ++day) {
     sim.advance_to(day * routing::kDay);
     const std::size_t idx = sim.capture();
     snaps.push_back(core::sanitize(sim.dataset(), idx));
-    atom_sets.push_back(core::compute_atoms(snaps.back()));
+    atom_sets.push_back(core::compute_atoms(snaps.back(), atom_options));
     if (atom_sets.size() < 3) continue;
 
     const auto events = core::detect_splits(
@@ -65,7 +68,7 @@ DailySplitCampaign compute(int days, double scale, std::uint64_t seed) {
 }  // namespace
 
 const DailySplitCampaign& run_daily_splits(int days, double scale,
-                                           std::uint64_t seed) {
+                                           std::uint64_t seed, int threads) {
   using Key = std::tuple<int, std::uint64_t, std::uint64_t>;
   static std::mutex mu;
   static std::map<Key, std::unique_ptr<DailySplitCampaign>> memo;
@@ -79,7 +82,7 @@ const DailySplitCampaign& run_daily_splits(int days, double scale,
     if (it != memo.end()) return *it->second;
   }
   auto fresh = std::make_unique<DailySplitCampaign>(
-      compute(days, scale, seed));
+      compute(days, scale, seed, threads));
   std::lock_guard<std::mutex> lock(mu);
   auto& slot = memo[key];
   if (!slot) slot = std::move(fresh);

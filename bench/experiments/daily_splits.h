@@ -25,8 +25,9 @@ struct DailySplitCampaign {
   }
 };
 
-/// Runs (or returns the process-cached) daily-split campaign.
+/// Runs (or returns the process-cached) daily-split campaign, grouping
+/// atoms on `threads` workers (the result does not depend on them).
 const DailySplitCampaign& run_daily_splits(int days, double scale,
-                                           std::uint64_t seed);
+                                           std::uint64_t seed, int threads);
 
 }  // namespace bgpatoms::bench

@@ -16,7 +16,8 @@ void run(Context& ctx) {
   ctx.note("[" + std::to_string(kDays) + " simulated days, era 2019]");
   ctx.note_scale(scale);
 
-  const auto& campaign = run_daily_splits(kDays, scale, ctx.seed(42));
+  const auto& campaign =
+      run_daily_splits(kDays, scale, ctx.seed(42), ctx.threads());
   std::vector<std::size_t> all;
   for (const auto& day : campaign.observers_per_day) {
     all.insert(all.end(), day.begin(), day.end());

@@ -18,7 +18,8 @@ void run(Context& ctx) {
   ctx.note("[" + std::to_string(kDays) + " simulated days, era 2019]");
   ctx.note_scale(scale);
 
-  const auto& campaign = run_daily_splits(kDays, scale, ctx.seed(42));
+  const auto& campaign =
+      run_daily_splits(kDays, scale, ctx.seed(42), ctx.threads());
 
   // Identify the two globally most frequent single-observer peers.
   std::map<net::Asn, std::size_t> freq;

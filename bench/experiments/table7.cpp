@@ -2,6 +2,7 @@
 // Count of retained prefixes under [min collectors] x [min peer ASes].
 #include <algorithm>
 
+#include "core/parallel.h"
 #include "core/sanitize.h"
 #include "experiments/common.h"
 #include "experiments/experiments.h"
@@ -19,6 +20,9 @@ std::vector<core::CampaignConfig> campaigns(const Context& ctx) {
   return {base};
 }
 
+/// The grid: at least 1..kCollectors collectors by 1..kPeers peer ASes.
+constexpr int kCollectors = 3, kPeers = 5;
+
 void run(Context& ctx) {
   const auto base = campaigns(ctx).front();
   ctx.note_scale(base.scale);
@@ -31,20 +35,29 @@ void run(Context& ctx) {
       "neighboring cells.");
 
   std::vector<std::string> cols{"collectors\\peers"};
-  for (int peers = 1; peers <= 5; ++peers) cols.push_back(std::to_string(peers));
+  for (int peers = 1; peers <= kPeers; ++peers) {
+    cols.push_back(std::to_string(peers));
+  }
   auto& table = ctx.add_table("grid", "", cols);
 
+  // The cells sanitize the one dataset independently: one batch on the
+  // run's pool, rendered in grid order.
+  std::vector<std::size_t> cells(kCollectors * kPeers);
+  ctx.sweep_options().pool->run(cells.size(), [&](std::size_t i) {
+    core::SanitizeConfig config;
+    config.min_collectors = static_cast<int>(i / kPeers) + 1;
+    config.min_peer_ases = static_cast<int>(i % kPeers) + 1;
+    cells[i] = core::sanitize(ds, 0, config).report.prefixes_kept;
+  });
+
   double adopted = 0, corner_min = 1e18, corner_max = 0;
-  for (int colls = 1; colls <= 3; ++colls) {
+  for (int colls = 1; colls <= kCollectors; ++colls) {
     std::vector<std::string> row{std::to_string(colls) +
                                  (colls == 2 ? " (adopted)" : "")};
-    for (int peers = 1; peers <= 5; ++peers) {
-      core::SanitizeConfig config;
-      config.min_collectors = colls;
-      config.min_peer_ases = peers;
-      const auto snap = core::sanitize(ds, 0, config);
-      const double kept = static_cast<double>(snap.report.prefixes_kept);
-      row.push_back(std::to_string(snap.report.prefixes_kept));
+    for (int peers = 1; peers <= kPeers; ++peers) {
+      const std::size_t cell = cells[(colls - 1) * kPeers + (peers - 1)];
+      const double kept = static_cast<double>(cell);
+      row.push_back(std::to_string(cell));
       if (colls == 2 && peers == 4) adopted = kept;
       if (peers >= 4) {
         corner_min = std::min(corner_min, kept);

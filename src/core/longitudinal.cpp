@@ -8,16 +8,27 @@ using routing::kDay;
 using routing::kHour;
 using routing::kWeek;
 
+topo::EraParams campaign_era(const CampaignConfig& config) {
+  topo::EraParams era = config.family == net::Family::kIPv4
+                            ? topo::era_params_v4(config.year, config.scale)
+                            : topo::era_params_v6(config.year, config.scale);
+  if (config.force_collectors > 0) era.n_collectors = config.force_collectors;
+  if (config.force_peers > 0) era.n_peers = config.force_peers;
+  if (config.force_full_feed_frac > 0) {
+    era.full_feed_frac = config.force_full_feed_frac;
+  }
+  return era;
+}
+
+double campaign_cost(const CampaignConfig& config) {
+  const topo::EraParams era = campaign_era(config);
+  return static_cast<double>(era.n_as) * era.n_peers *
+         (config.with_stability ? 1.6 : 1.0);
+}
+
 Campaign run_campaign(const CampaignConfig& config) {
   Campaign c;
-  c.era = config.family == net::Family::kIPv4
-              ? topo::era_params_v4(config.year, config.scale)
-              : topo::era_params_v6(config.year, config.scale);
-  if (config.force_collectors > 0) c.era.n_collectors = config.force_collectors;
-  if (config.force_peers > 0) c.era.n_peers = config.force_peers;
-  if (config.force_full_feed_frac > 0) {
-    c.era.full_feed_frac = config.force_full_feed_frac;
-  }
+  c.era = campaign_era(config);
 
   // Capture phase: the simulator lives only long enough to produce the
   // dataset; the campaign keeps the data and the topology ground truth.
@@ -169,7 +180,13 @@ SweepJob quarter_job(net::Family family, double year, double scale,
 std::vector<QuarterMetrics> run_sweep(const std::vector<SweepJob>& jobs,
                                       const SweepOptions& options) {
   std::vector<QuarterMetrics> out(jobs.size());
-  const auto body = [&](std::size_t i) {
+  std::vector<double> cost(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    cost[i] = campaign_cost(jobs[i].config);
+  }
+  const std::vector<std::size_t> order = heaviest_first(cost);
+  const auto body = [&](std::size_t k) {
+    const std::size_t i = order[k];
     CampaignConfig config = jobs[i].config;
     if (config.seed == 0) config.seed = derive_seed(options.base_seed, i);
     out[i] = quarter_metrics(run_campaign(config), config.year);

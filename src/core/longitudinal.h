@@ -75,6 +75,15 @@ struct Campaign {
 
 Campaign run_campaign(const CampaignConfig& config);
 
+/// The era run_campaign simulates: the config's family, year and scale,
+/// with its collector overrides applied.
+topo::EraParams campaign_era(const CampaignConfig& config);
+
+/// Relative cost of run_campaign(config), read from its era: ASes x
+/// collector peer sessions, x 1.6 with the stability captures. Used only
+/// to order a batch (core::heaviest_first).
+double campaign_cost(const CampaignConfig& config);
+
 /// Compact per-quarter metrics for the trend figures (4, 5, 9, 11, 12, 13)
 /// and the data-quality trend.
 struct QuarterMetrics {

@@ -1,6 +1,8 @@
 #include "core/parallel.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <numeric>
 
 #include "core/env.h"
 #include "net/rng.h"
@@ -126,6 +128,16 @@ void TaskPool::worker_loop() {
     }
     cv_done_.notify_one();
   }
+}
+
+std::vector<std::size_t> heaviest_first(const std::vector<double>& cost) {
+  std::vector<std::size_t> order(cost.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
+                                                   std::size_t b) {
+    return cost[a] > cost[b];
+  });
+  return order;
 }
 
 void parallel_for(std::size_t n, int threads,

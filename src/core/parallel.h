@@ -72,6 +72,11 @@ class TaskPool {
   std::atomic<std::size_t> next_{0};  // next unclaimed index
 };
 
+/// 0..cost.size()-1 by descending `cost`, ties in index order: the order
+/// to hand a batch of unequal tasks to a pool, so that the longest start
+/// first and no worker idles through the batch's tail.
+std::vector<std::size_t> heaviest_first(const std::vector<double>& cost);
+
 /// One-shot helper: body(0..n-1) over resolve_threads(threads) workers.
 /// Runs inline (no pool) when n <= 1 or one worker resolves.
 void parallel_for(std::size_t n, int threads,

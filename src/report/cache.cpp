@@ -73,8 +73,14 @@ void CampaignPlan::build(core::TaskPool& pool) {
   const auto t0 = std::chrono::steady_clock::now();
   {
     OBS_SPAN("report.plan");
-    pool.run(entries_.size(), [this](std::size_t i) {
-      entries_[i].campaign.emplace(core::run_campaign(entries_[i].config));
+    std::vector<double> cost(entries_.size());
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      cost[i] = core::campaign_cost(entries_[i].config);
+    }
+    const std::vector<std::size_t> order = core::heaviest_first(cost);
+    pool.run(order.size(), [&](std::size_t k) {
+      Entry& e = entries_[order[k]];
+      e.campaign.emplace(core::run_campaign(e.config));
     });
   }
   stats_.build_seconds = std::chrono::duration<double>(

@@ -5,9 +5,9 @@
 // share the 2004 and 2024 snapshots; Table 4 and Figure 8 share the v4/v6
 // 2024 pair). Each experiment lists the configs it will request in its
 // `plan`; run_experiments adds the selection's plans here in run order,
-// builds every distinct campaign once in one TaskPool batch, runs the
-// experiments in order on the calling thread, and frees each campaign
-// after its last planned user. Every request for one config returns the
+// builds every distinct campaign once in one TaskPool batch, heaviest
+// first, runs the experiments in order on the calling thread, and frees
+// each campaign after its last planned user. Every request for one config returns the
 // same Campaign, and simulation is deterministic, so results are
 // bit-identical at any thread count.
 //
@@ -54,8 +54,9 @@ class CampaignPlan {
   /// numbered in run order and added in that order.
   void add(std::size_t user, const std::vector<core::CampaignConfig>& configs);
 
-  /// Builds every distinct planned campaign on `pool`, one task each, in
-  /// first-use order.
+  /// Builds every distinct planned campaign on `pool`, one task each,
+  /// handed out by descending core::campaign_cost so that no worker idles
+  /// through the batch's tail. Each result is stored with its entry.
   void build(core::TaskPool& pool);
 
   /// The built campaign for `config`, or nullptr when `user` did not plan
@@ -75,7 +76,7 @@ class CampaignPlan {
     std::size_t last_user = 0;
     std::optional<core::Campaign> campaign;
   };
-  /// Distinct configs in first-use order.
+  /// Distinct configs in first-use order (the build runs heaviest first).
   std::vector<Entry> entries_;
   /// Key -> index into entries_.
   std::map<std::string, std::size_t> index_;

@@ -11,8 +11,9 @@ namespace {
 /// RouteTable::best_ value of a node without a candidate in the level.
 constexpr std::uint32_t kNoCandidate = UINT32_MAX;
 
-/// RouteTable::closure_ values.
-enum : std::uint8_t { kOutside = 0, kInside = 1, kBorder = 2 };
+/// RouteTable::walk_pos_ value of a node the provider phase's walk did
+/// not reach.
+constexpr std::uint32_t kOffWalk = UINT32_MAX;
 
 }  // namespace
 
@@ -22,7 +23,65 @@ using topo::Neighbor;
 using topo::NodeId;
 using topo::Rel;
 
-Propagator::Propagator(const AsGraph& graph) : graph_(graph) {}
+Propagator::Propagator(const AsGraph& graph) : graph_(graph) {
+  const auto group_of = [](Rel rel) -> std::size_t {
+    switch (rel) {
+      case Rel::kProvider:
+        return kProviders;
+      case Rel::kSibling:
+        return kSiblings;
+      case Rel::kCustomer:
+        return kCustomers;
+      case Rel::kPeer:
+        break;
+    }
+    return kPeers;
+  };
+  const std::size_t n = graph.size();
+  asn_.resize(n);
+  first_.assign(n * kGroups + 1, 0);
+  for (NodeId v = 0; v < n; ++v) {
+    asn_[v] = graph.node(v).asn;
+    for (const Neighbor& nb : graph.node(v).neighbors) {
+      ++first_[v * kGroups + group_of(nb.rel) + 1];
+    }
+  }
+  std::partial_sum(first_.begin(), first_.end(), first_.begin());
+  edges_.resize(first_.back());
+  // Fill each group in the graph's order, then find every entry's
+  // reverse: the entries pointing at v, collected in owner order, meet
+  // v's own entry for the same edge through a per-owner mark. Each edge
+  // has one entry at each end (AsGraph::add_edge), so the entries pointing
+  // at v are as many as v's own.
+  std::vector<std::uint32_t> next(first_.begin(), first_.end() - 1);
+  std::vector<std::uint32_t> incoming_at(n);
+  for (NodeId v = 0; v < n; ++v) {
+    incoming_at[v] = first_[v * kGroups];
+    for (const Neighbor& nb : graph.node(v).neighbors) {
+      edges_[next[v * kGroups + group_of(nb.rel)]++] = {nb.node, 0, &nb};
+    }
+  }
+  std::vector<std::pair<NodeId, std::uint32_t>> incoming(edges_.size());
+  for (NodeId u = 0; u < n; ++u) {
+    for (std::uint32_t j = first_[u * kGroups]; j < first_[(u + 1) * kGroups];
+         ++j) {
+      incoming[incoming_at[edges_[j].node]++] = {u, j};
+    }
+  }
+  std::vector<std::uint32_t> entry_to(n);
+  for (NodeId v = 0; v < n; ++v) {
+    const std::uint32_t begin = first_[v * kGroups];
+    const std::uint32_t end = first_[(v + 1) * kGroups];
+    for (std::uint32_t k = begin; k < end; ++k) entry_to[edges_[k].node] = k;
+    for (std::uint32_t i = begin; i < end; ++i) {
+      const auto [u, j] = incoming[i];
+      edges_[entry_to[u]].reverse = j;
+      assert(edges_[entry_to[u]].node == u &&
+             edges_[j].neighbor->rel == topo::reverse(
+                                            edges_[entry_to[u]].neighbor->rel));
+    }
+  }
+}
 
 void Propagator::compute(NodeId origin, const UnitPolicy* policy,
                          RouteTable& out) const {
@@ -95,12 +154,15 @@ void Propagator::compute_pass(std::span<const RouteSource> sources,
   t.source.assign(n, kNoSource);
   t.best_.assign(n, kNoCandidate);
 
+  auto& seeds = t.seeds_;
+  seeds.clear();
   for (std::uint16_t i = 0; i < sources.size(); ++i) {
     const NodeId origin = sources[i].origin;
     if (t.cls[origin] != RouteClass::kNone) continue;  // first source wins
     t.dist[origin] = 0;
     t.cls[origin] = RouteClass::kSelf;
     t.source[origin] = i;
+    seeds.push_back(origin);
   }
   for (const PinnedEntry& e : pinned) {
     if (t.cls[e.node] != RouteClass::kNone) continue;  // origins stay kSelf
@@ -109,23 +171,27 @@ void Propagator::compute_pass(std::span<const RouteSource> sources,
     t.parent[e.node] = e.parent;
     t.edge_prepend[e.node] = e.prepend;
     t.source[e.node] = e.source;
+    if (e.cls == RouteClass::kSelf || e.cls == RouteClass::kCustomer) {
+      seeds.push_back(e.node);
+    }
   }
 
   using Candidate = RouteTable::Candidate;
   auto& buckets = t.buckets_;
   std::uint32_t top = 0;  // highest level holding candidates this phase
 
-  // Offers `to` a candidate route learned from `from`. `leak_edge`
+  // Offers `to`'s node a candidate route learned from `from`. `leak_edge`
   // bypasses the export rule (valley-violating re-export); the import
   // filter still applies.
-  auto relax = [&](NodeId from, const Neighbor& to, bool leak_edge = false) {
+  auto relax = [&](NodeId from, const Edge& to, bool leak_edge = false) {
     if (t.cls[to.node] != RouteClass::kNone) return;  // finalized earlier
     const std::uint16_t si = t.source[from];
     const RouteSource& src = sources[si];
     std::uint8_t prepend = 0;
     if (!leak_edge) {
       const bool from_is_origin = t.cls[from] == RouteClass::kSelf;
-      if (!engine.allow_export(src, from_is_origin, from, to, prepend)) {
+      if (!engine.allow_export(src, from_is_origin, from, *to.neighbor,
+                               prepend)) {
         return;
       }
     }
@@ -133,17 +199,19 @@ void Propagator::compute_pass(std::span<const RouteSource> sources,
     const std::uint32_t d = t.dist[from] + 1 + prepend;
     if (d >= buckets.size()) buckets.resize(d + 1);
     const std::uint64_t key =
-        (std::uint64_t{engine.selection_rank(src, si)} << 32) |
-        graph_.node(from).asn;
+        (std::uint64_t{engine.selection_rank(src, si)} << 32) | asn_[from];
     buckets[d].push_back(Candidate{key, to.node, from, prepend, si});
     top = std::max(top, d);
+  };
+  auto relax_all = [&](NodeId from, std::span<const Edge> entries) {
+    for (const Edge& e : entries) relax(from, e);
   };
 
   // Drains one phase level by level: each node offered a route at level
   // d takes its lowest-key candidate and `assign_cls`; once the whole
-  // level is final, its nodes' edges are relaxed (where `edge_ok(nb)`
-  // holds) into the levels above. Returns the number of nodes settled.
-  auto drain = [&](RouteClass assign_cls, auto edge_ok) {
+  // level is final, `relax_from` relaxes each winner's edges into the
+  // levels above. Returns the number of nodes settled.
+  auto drain = [&](RouteClass assign_cls, auto relax_from) {
     std::uint32_t settled = 0;
     for (std::uint32_t d = 1; d <= top; ++d) {
       std::vector<Candidate> level = std::move(buckets[d]);
@@ -167,11 +235,7 @@ void Propagator::compute_pass(std::span<const RouteSource> sources,
       }
       level.resize(won);
       settled += static_cast<std::uint32_t>(won);
-      for (const Candidate& c : level) {
-        for (const auto& nb : graph_.node(c.node).neighbors) {
-          if (edge_ok(nb)) relax(c.node, nb);
-        }
-      }
+      for (const Candidate& c : level) relax_from(c.node);
       level.clear();
       buckets[d] = std::move(level);  // keeps the capacity for reuse
     }
@@ -180,87 +244,82 @@ void Propagator::compute_pass(std::span<const RouteSource> sources,
   };
 
   // --- phase 1: customer routes climb provider (and sibling) edges -----
-  const auto climb_ok = [](const Neighbor& nb) {
-    return nb.rel == Rel::kProvider || nb.rel == Rel::kSibling;
-  };
-  if (pinned.empty()) {
-    for (const RouteSource& s : sources) {
-      if (t.source[s.origin] == kNoSource) continue;
-      for (const auto& nb : graph_.node(s.origin).neighbors) {
-        if (climb_ok(nb)) relax(s.origin, nb);
-      }
-    }
-  } else {
-    // Leak pass: pinned chain nodes were finalized before this phase, so
-    // their climb edges must be re-relaxed here too.
-    for (NodeId u = 0; u < n; ++u) {
-      if (t.cls[u] != RouteClass::kSelf && t.cls[u] != RouteClass::kCustomer)
-        continue;
-      for (const auto& nb : graph_.node(u).neighbors) {
-        if (climb_ok(nb)) relax(u, nb);
-      }
-    }
-  }
+  // From the origins and, in the leak pass, the pinned own- or customer-
+  // class chain nodes, finalized before this phase.
+  for (const NodeId u : seeds) relax_all(u, edges(u, kProviders, kCustomers));
   // The leaked route reaches the leaker's providers as if customer-
   // learned: it enters selection as customer class at the receivers.
   for (const NodeId leaker : leakers) {
-    for (const auto& nb : graph_.node(leaker).neighbors) {
-      if (nb.rel == Rel::kProvider) relax(leaker, nb, /*leak_edge=*/true);
+    for (const Edge& e : edges(leaker, kProviders, kSiblings)) {
+      relax(leaker, e, /*leak_edge=*/true);
     }
   }
-  drain(RouteClass::kCustomer, climb_ok);
+  drain(RouteClass::kCustomer, [&](NodeId c) {
+    seeds.push_back(c);
+    relax_all(c, edges(c, kProviders, kCustomers));
+  });
 
   // --- phase 2: one peer hop, then sibling spread ------------------------
-  for (NodeId u = 0; u < n; ++u) {
-    if (t.cls[u] != RouteClass::kSelf && t.cls[u] != RouteClass::kCustomer)
-      continue;
-    for (const auto& nb : graph_.node(u).neighbors) {
-      if (nb.rel == Rel::kPeer) relax(u, nb);
-    }
-  }
+  for (const NodeId u : seeds) relax_all(u, edges(u, kPeers, kGroups));
   for (const NodeId leaker : leakers) {
-    for (const auto& nb : graph_.node(leaker).neighbors) {
-      if (nb.rel == Rel::kPeer) relax(leaker, nb, /*leak_edge=*/true);
+    for (const Edge& e : edges(leaker, kPeers, kGroups)) {
+      relax(leaker, e, /*leak_edge=*/true);
     }
   }
   drain(RouteClass::kPeer,
-        [](const Neighbor& nb) { return nb.rel == Rel::kSibling; });
+        [&](NodeId c) { relax_all(c, edges(c, kSiblings, kCustomers)); });
 
   // --- phase 3: provider routes descend customer (and sibling) edges ---
   // Only into the upward closure of the still-unrouted targets, walked
   // breadth-first over the edges phase 1 climbs. The routed nodes met on
-  // the way border it and seed the phase.
-  auto& closure = t.closure_;
+  // the way border it and seed the phase. Every candidate of a closure
+  // node comes over the reverse of one of the edges the walk climbs from
+  // it, so the walk records those down-edges and the phase relaxes them
+  // alone.
   auto& walk = t.walk_;
-  closure.assign(n, kOutside);
+  auto& pos = t.walk_pos_;
+  auto& down = t.down_;
   walk.clear();
+  pos.assign(n, kOffWalk);
+  down.clear();
   for (const NodeId target : targets) {
-    if (t.cls[target] != RouteClass::kNone || closure[target] != kOutside) {
+    if (t.cls[target] != RouteClass::kNone || pos[target] != kOffWalk) {
       continue;
     }
-    closure[target] = kInside;
+    pos[target] = static_cast<std::uint32_t>(walk.size());
     walk.push_back(target);
   }
   for (std::size_t i = 0; i < walk.size(); ++i) {
-    if (closure[walk[i]] == kBorder) continue;
-    for (const auto& nb : graph_.node(walk[i]).neighbors) {
-      if (!climb_ok(nb) || closure[nb.node] != kOutside) continue;
-      closure[nb.node] =
-          t.cls[nb.node] == RouteClass::kNone ? kInside : kBorder;
-      walk.push_back(nb.node);
+    const NodeId w = walk[i];
+    if (t.cls[w] != RouteClass::kNone) continue;  // border: routed
+    for (const Edge& e : edges(w, kProviders, kCustomers)) {
+      if (pos[e.node] == kOffWalk) {
+        pos[e.node] = static_cast<std::uint32_t>(walk.size());
+        walk.push_back(e.node);
+      }
+      down.emplace_back(pos[e.node], e.reverse);
     }
   }
-  const auto descend_into_closure = [&](const Neighbor& nb) {
-    return (nb.rel == Rel::kCustomer || nb.rel == Rel::kSibling) &&
-           closure[nb.node] == kInside;
+  // Group the down-edges by upper node (a counting sort that keeps walk
+  // order within a group): the group of walk index k is
+  // [first[k], first[k + 1]).
+  auto& first = t.down_first_;
+  auto& grouped = t.down_entries_;
+  first.assign(walk.size() + 2, 0);
+  for (const auto& [upper, entry] : down) ++first[upper + 2];
+  std::partial_sum(first.begin(), first.end(), first.begin());
+  grouped.resize(down.size());
+  for (const auto& [upper, entry] : down) grouped[first[upper + 1]++] = entry;
+  const auto relax_down = [&](NodeId u) {
+    const std::uint32_t k = pos[u];
+    for (std::uint32_t j = first[k]; j < first[k + 1]; ++j) {
+      relax(u, edges_[grouped[j]]);
+    }
   };
   for (const NodeId u : walk) {
-    if (closure[u] != kBorder) continue;
-    for (const auto& nb : graph_.node(u).neighbors) {
-      if (descend_into_closure(nb)) relax(u, nb);
-    }
+    if (t.cls[u] != RouteClass::kNone) relax_down(u);
   }
-  t.provider_settled_ += drain(RouteClass::kProvider, descend_into_closure);
+  t.provider_settled_ += drain(RouteClass::kProvider, relax_down);
 }
 
 void Propagator::append_path(const RouteTable& t, NodeId node,
@@ -269,14 +328,17 @@ void Propagator::append_path(const RouteTable& t, NodeId node,
       t.cls[node] == RouteClass::kSelf) {
     return;
   }
-  NodeId cur = node;
-  while (t.cls[cur] != RouteClass::kSelf) {
+  // dist counts the ASN entries the parent chain contributes.
+  const std::size_t at = out.size();
+  out.resize(at + t.dist[node]);
+  net::Asn* hop = out.data() + at;
+  for (NodeId cur = node; t.cls[cur] != RouteClass::kSelf;) {
     const NodeId p = t.parent[cur];
     assert(p != kNoNode);
-    out.insert(out.end(), std::size_t{t.edge_prepend[cur]} + 1,
-               graph_.node(p).asn);
+    hop = std::fill_n(hop, std::size_t{t.edge_prepend[cur]} + 1, asn_[p]);
     cur = p;
   }
+  assert(hop == out.data() + out.size());
 }
 
 }  // namespace bgpatoms::routing

@@ -39,6 +39,20 @@
 // runs through settled nodes only. Passing every node as a target gives
 // the full table through the same code.
 //
+// Each phase scans only the entries it can use. The Propagator groups
+// every node's neighbor entries by relation once per graph (providers,
+// siblings, customers, peers, each in the graph's order), with each
+// entry's reverse entry. Phase 1 relaxes provider and sibling ranges.
+// Phase 2 relaxes the peer ranges of the origins and phase 1's winners
+// (the only nodes holding customer-class or own routes; in the leak pass
+// also the pinned ones), then spreads over siblings. Phase 3's upward
+// walk visits every provider and sibling edge of each closure node once
+// from below; it records the reverse (down) entry of each, grouped by
+// the upper node, and the phase relaxes those recorded edges alone. The
+// relaxation order differs from a scan of whole neighbor lists, the
+// winners do not: at one level, equal (selection_rank, next-hop ASN)
+// keys mean the same parent, so equal-key candidates are identical.
+//
 // Route leaks: when one of the engine's leakers is reachable, a
 // second pass re-runs propagation with the leaker's learned route
 // re-exported to its providers and peers as if customer-learned — the
@@ -49,6 +63,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "net/aspath.h"
@@ -108,16 +123,26 @@ struct RouteTable {
   // the index of its best candidate in the level being drained.
   std::vector<std::vector<Candidate>> buckets_;
   std::vector<std::uint32_t> best_;
-  // Provider-phase scratch: per node whether it is inside the targets'
-  // upward closure, a routed node on its border, or neither; and the
-  // closure and border nodes in the order the walk found them.
-  std::vector<std::uint8_t> closure_;
+  // The nodes holding own or customer-class routes when phase 2 starts:
+  // the origins, the pinned such nodes and phase 1's winners.
+  std::vector<topo::NodeId> seeds_;
+  // Provider-phase scratch: the closure and border nodes in the order the
+  // walk found them, and per node its index in that order (or none); the
+  // recorded down-edges as (walk index of the upper node, entry), then
+  // their entries grouped by upper node, with each group's start.
   std::vector<topo::NodeId> walk_;
+  std::vector<std::uint32_t> walk_pos_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> down_;
+  std::vector<std::uint32_t> down_entries_;
+  std::vector<std::uint32_t> down_first_;
   std::uint32_t provider_settled_ = 0;
 };
 
 class Propagator {
  public:
+  /// Groups `graph`'s neighbor entries by relation, keeping pointers to
+  /// them. The Propagator must not outlive its graph, and the graph must
+  /// not change while a Propagator over it exists.
   explicit Propagator(const topo::AsGraph& graph);
 
   /// Computes routes toward `sources` (each an origin announcing the unit)
@@ -161,6 +186,33 @@ class Propagator {
     std::uint16_t source;
   };
 
+  /// The order of a node's entry groups in edges_, chosen so that the
+  /// edges of each phase are one range: providers and siblings climb,
+  /// siblings and customers descend, peers take the one peer hop.
+  enum Group : std::uint32_t {
+    kProviders = 0,
+    kSiblings = 1,
+    kCustomers = 2,
+    kPeers = 3,
+    kGroups = 4,
+  };
+
+  /// One neighbor entry.
+  struct Edge {
+    topo::NodeId node;      // the neighbor
+    std::uint32_t reverse;  // the neighbor's entry for this edge in edges_
+    /// The graph's own entry: allow_export identifies the receiving
+    /// neighbor by its address (announce_to and prepend_to hold indices
+    /// into the origin's neighbor list).
+    const topo::Neighbor* neighbor;
+  };
+
+  /// `v`'s entries of groups [first, last).
+  std::span<const Edge> edges(topo::NodeId v, Group first, Group last) const {
+    const std::uint32_t* at = first_.data() + std::size_t{v} * kGroups;
+    return {edges_.data() + at[first], edges_.data() + at[last]};
+  }
+
   /// One three-phase propagation, exact at `targets`. `pinned` entries
   /// (leak pass) are finalized up front; `leakers` additionally re-export
   /// to providers and peers.
@@ -172,6 +224,13 @@ class Propagator {
                     RouteTable& out) const;
 
   const topo::AsGraph& graph_;
+  /// Every node's entries, grouped by relation, node after node.
+  std::vector<Edge> edges_;
+  /// Per node and group, the group's first entry in edges_; the entry
+  /// after a node's last group starts the next node (n * kGroups + 1).
+  std::vector<std::uint32_t> first_;
+  /// Per node, its ASN (bucket keys and append_path).
+  std::vector<net::Asn> asn_;
 };
 
 }  // namespace bgpatoms::routing

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <numeric>
 #include <span>
 
 #include "bgp/nlri.h"
@@ -53,7 +54,7 @@ Simulator::Simulator(topo::Topology topo, SimOptions opt)
     ds_.prefixes.intern(pfx);
   }
   unit_paths_.resize(policies_.units.size());
-  unit_dirty_.assign(policies_.units.size(), 1);
+  unit_dirty_.assign(policies_.units.size(), kStale);
   prefix_unit_.assign(policies_.all_prefixes.size(), UINT32_MAX);
   for (const auto& unit : policies_.units) {
     for (GlobalPrefixId p : unit.prefixes) prefix_unit_[p] = unit.id;
@@ -309,9 +310,11 @@ void Simulator::split_unit(UnitId u, bool vp_local) {
     mutate_policy_globally(nu.policy, nu.origin);
   }
 
-  unit_dirty_[u] = 1;
+  // Only the new unit needs routes: the parent keeps its origin, policy
+  // and scenario state, so its VP paths cannot change.
+  if (unit_dirty_[u] == kClean) unit_dirty_[u] = kKeepRoutes;
   unit_paths_.emplace_back();
-  unit_dirty_.push_back(1);
+  unit_dirty_.push_back(kStale);
   unit_suppressed_.push_back(0);
   // The split-off unit keeps the parent's prefixes, so it inherits the
   // parent's ROA coverage and validity.
@@ -339,8 +342,10 @@ void Simulator::merge_unit(UnitId u) {
   for (GlobalPrefixId p : theirs) prefix_unit_[p] = u;
   mine.insert(mine.end(), theirs.begin(), theirs.end());
   theirs.clear();
-  unit_dirty_[u] = 1;
-  unit_dirty_[partner] = 1;
+  // The survivor's routes stand (its origin, policy and scenario state are
+  // unchanged); the emptied partner's are dropped at the next refresh.
+  if (unit_dirty_[u] == kClean) unit_dirty_[u] = kKeepRoutes;
+  unit_dirty_[partner] = kStale;
 }
 
 // ---------------------------------------------------------------------------
@@ -353,12 +358,12 @@ void Simulator::refresh_unit_paths() {
   // share one propagation run.
   std::vector<UnitId> dirty;
   for (UnitId u = 0; u < unit_dirty_.size(); ++u) {
-    if (unit_dirty_[u] && !policies_.units[u].prefixes.empty() &&
+    if (unit_dirty_[u] != kClean && !policies_.units[u].prefixes.empty() &&
         !unit_suppressed_[u]) {
       dirty.push_back(u);
-    } else if (unit_dirty_[u]) {
+    } else if (unit_dirty_[u] != kClean) {
       unit_paths_[u].clear();  // emptied by a merge, or suppressed overlay
-      unit_dirty_[u] = 0;
+      unit_dirty_[u] = kClean;
     }
   }
   std::sort(dirty.begin(), dirty.end(), [&](UnitId a, UnitId b) {
@@ -386,12 +391,20 @@ void Simulator::refresh_unit_paths() {
           done[b - i] = 1;
         }
       }
+      // A group of units whose routes all still hold needs no run.
+      if (std::none_of(group.begin(), group.end(), [&](UnitId g) {
+            return unit_dirty_[g] == kStale;
+          })) {
+        for (UnitId g : group) unit_dirty_[g] = kClean;
+        continue;
+      }
       compute_unit_group(origin, group);
       ++propagations;
       provider_settled += scratch_table_.provider_settled();
     }
     i = j;
   }
+  propagations_ += propagations;
   OBS_COUNT_N("routing.propagations", propagations);
   OBS_COUNT_N("routing.provider_settled", provider_settled);
 }
@@ -422,6 +435,7 @@ void Simulator::compute_unit_group(NodeId origin,
 
   std::vector<VpPath> paths;
   const auto& vps = topo_.vantage_points;
+  paths.reserve(vps.size());
   for (std::uint16_t i = 0; i < vps.size(); ++i) {
     const NodeId vn = vps[i].node;
     if (!scratch_table_.reachable(vn)) continue;
@@ -431,7 +445,7 @@ void Simulator::compute_unit_group(NodeId origin,
   }
   for (UnitId u : group) {
     unit_paths_[u] = paths;
-    unit_dirty_[u] = 0;
+    unit_dirty_[u] = kClean;
   }
 }
 
@@ -465,43 +479,84 @@ std::size_t Simulator::capture() {
   bgp::Snapshot snap;
   snap.timestamp = opt_.base_time + now_;
   const auto& vps = topo_.vantage_points;
-  std::vector<std::vector<bgp::RibRecord>> recs(vps.size());
+  const std::size_t n_vps = vps.size();
 
+  // One row per unit some VP reaches: its path at each VP (kNoPath where
+  // none), its communities, and an upper bound on each VP's record count.
+  // Communities are interned for every live unit in unit order, so their
+  // ids do not depend on reachability.
+  constexpr bgp::PathId kNoPath = UINT32_MAX;
+  std::vector<bgp::PathId> row_paths;
+  std::vector<bgp::CommunitySetId> row_comms;
+  std::vector<UnitId> row_unit;
+  std::vector<std::size_t> vp_records(n_vps, 0);
+  const std::size_t n_prefixes = ds_.prefixes.size();
+  std::vector<std::uint32_t> cover_first(n_prefixes + 2, 0);
   for (const auto& unit : policies_.units) {
     if (unit.prefixes.empty() || unit_suppressed_[unit.id]) continue;
     const bgp::CommunitySetId comms =
         ds_.communities.intern(unit.policy.communities);
+    if (unit_paths_[unit.id].empty()) continue;
+    row_paths.resize(row_paths.size() + n_vps, kNoPath);
+    bgp::PathId* row = row_paths.data() + row_paths.size() - n_vps;
     for (const auto& entry : unit_paths_[unit.id]) {
-      auto& out = recs[entry.vp];
-      for (GlobalPrefixId p : unit.prefixes) {
-        out.push_back({p, entry.path, comms, bgp::RecordStatus::kValid});
-      }
+      row[entry.vp] = entry.path;
+      vp_records[entry.vp] += unit.prefixes.size();
+    }
+    row_comms.push_back(comms);
+    row_unit.push_back(unit.id);
+    for (GlobalPrefixId p : unit.prefixes) ++cover_first[p + 2];
+  }
+  // Prefix -> covering rows, in ascending unit id (a counting sort): the
+  // rows of prefix p are [cover_first[p], cover_first[p + 1]).
+  std::partial_sum(cover_first.begin(), cover_first.end(),
+                   cover_first.begin());
+  std::vector<std::uint32_t> cover(cover_first.back());
+  for (std::uint32_t r = 0; r < row_unit.size(); ++r) {
+    for (GlobalPrefixId p : policies_.units[row_unit[r]].prefixes) {
+      cover[cover_first[p + 1]++] = r;
     }
   }
 
-  // Resolve MOAS collisions the way a real router would: keep the route
-  // that wins best-path selection (shorter path, then lower path id). One
-  // slot per prefix id holds the index of its best record so far.
-  const auto rank = [this](const bgp::RibRecord& rec) {
-    return std::pair(path_selection_length(rec.path), rec.path);
-  };
-  constexpr std::uint32_t kNoRecord = UINT32_MAX;
-  std::vector<std::uint32_t> best(ds_.prefixes.size(), kNoRecord);
-  for (std::uint16_t i = 0; i < vps.size(); ++i) {
+  // Each VP's records in ascending prefix id. A MOAS prefix (its second
+  // origin is a unit of its own) keeps the route that wins best-path
+  // selection, as a real router would: shorter path, then lower path id,
+  // then the lowest unit id.
+  std::vector<std::vector<bgp::RibRecord>> recs(n_vps);
+  for (std::size_t i = 0; i < n_vps; ++i) recs[i].reserve(vp_records[i]);
+  for (GlobalPrefixId p = 0; p < n_prefixes; ++p) {
+    const std::uint32_t begin = cover_first[p];
+    const std::uint32_t end = cover_first[p + 1];
+    if (begin == end) continue;
+    if (end - begin == 1) {
+      const bgp::PathId* row = row_paths.data() + cover[begin] * n_vps;
+      const bgp::CommunitySetId comms = row_comms[cover[begin]];
+      for (std::size_t i = 0; i < n_vps; ++i) {
+        if (row[i] == kNoPath) continue;
+        recs[i].push_back({p, row[i], comms, bgp::RecordStatus::kValid});
+      }
+      continue;
+    }
+    for (std::size_t i = 0; i < n_vps; ++i) {
+      std::uint32_t best = UINT32_MAX;
+      std::pair<std::uint32_t, bgp::PathId> best_rank;
+      for (std::uint32_t c = begin; c < end; ++c) {
+        const bgp::PathId path = row_paths[cover[c] * n_vps + i];
+        if (path == kNoPath) continue;
+        const std::pair rank(path_selection_length(path), path);
+        if (best == UINT32_MAX || rank < best_rank) {
+          best = cover[c];
+          best_rank = rank;
+        }
+      }
+      if (best == UINT32_MAX) continue;
+      recs[i].push_back(
+          {p, best_rank.second, row_comms[best], bgp::RecordStatus::kValid});
+    }
+  }
+
+  for (std::uint16_t i = 0; i < n_vps; ++i) {
     auto& rib = recs[i];
-    for (std::uint32_t r = 0; r < rib.size(); ++r) {
-      std::uint32_t& slot = best[rib[r].prefix];
-      if (slot == kNoRecord || rank(rib[r]) < rank(rib[slot])) slot = r;
-    }
-    // The winners, in ascending prefix order.
-    std::vector<bgp::RibRecord> kept;
-    kept.reserve(rib.size());
-    for (std::uint32_t& slot : best) {
-      if (slot == kNoRecord) continue;
-      kept.push_back(rib[slot]);
-      slot = kNoRecord;
-    }
-    rib = std::move(kept);
     inject_faults(i, rib);
 
     bgp::PeerFeed feed;
@@ -817,7 +872,7 @@ bool Simulator::create_overlay_unit(
     inc.overlay_unit = nu.id;
     prefix_unit_.push_back(nu.id);
     unit_paths_.emplace_back();
-    unit_dirty_.push_back(1);
+    unit_dirty_.push_back(kStale);
     unit_suppressed_.push_back(1);  // invisible until the incident starts
     unit_roa_covered_.push_back(0);
     // Invalid wherever the victim's covering ROA exists (its maxLength is
@@ -897,7 +952,7 @@ std::vector<UnitId> Simulator::apply_transition(const ScenarioTransition& tr,
       touched = inc.affected;
       break;
   }
-  for (UnitId u : touched) unit_dirty_[u] = 1;
+  for (UnitId u : touched) unit_dirty_[u] = kStale;
   return touched;
 }
 

@@ -19,7 +19,13 @@
 //
 // Routes are read only at the vantage points, so every propagation names
 // the VP nodes as its targets and the provider phase settles only their
-// upward closure (routing/propagation.h).
+// upward closure (routing/propagation.h). A refresh re-propagates only the
+// units whose routing inputs changed: a split parent or merge survivor
+// keeps its routes. capture() builds each VP's records directly in
+// ascending prefix id, from a per-capture "unit -> path at each VP" table
+// and "prefix -> covering units" index; a MOAS prefix keeps the route
+// with the shortest selection length, then the lowest path id, then the
+// lowest unit id.
 //
 // A Simulator is fully self-contained: it owns its topology, policies,
 // RNG, caches and dataset, and touches no global mutable state. Distinct
@@ -94,6 +100,10 @@ class Simulator {
 
   /// Number of composition events applied so far (tests/diagnostics).
   std::size_t events_applied() const { return events_applied_; }
+
+  /// Route propagations run so far, one per group of dirty units sharing
+  /// an origin, policy and scenario state (tests/diagnostics).
+  std::size_t propagations() const { return propagations_; }
 
   /// Scheduled scenario incidents (empty unless SimOptions::scenario asks
   /// for any). Route-leak `affected` lists fill in when the leak starts.
@@ -198,6 +208,13 @@ class Simulator {
   bgp::Timestamp now_ = 0;
 
   std::vector<std::vector<VpPath>> unit_paths_;
+  /// Per unit, what the next refresh does with it. A split parent or a
+  /// merge survivor keeps its origin, policy and scenario state, so its
+  /// routes still hold: kKeepRoutes, not kStale, and no propagation. It
+  /// still takes its place in refresh_unit_paths' order (an unstable sort
+  /// by origin), which fixes the order new paths are interned in, so no
+  /// path id moves.
+  static constexpr char kClean = 0, kStale = 1, kKeepRoutes = 2;
   std::vector<char> unit_dirty_;
   /// Owning unit per global prefix id (moves on splits/merges).
   std::vector<UnitId> prefix_unit_;
@@ -210,6 +227,7 @@ class Simulator {
   bgp::Timestamp scheduled_until_ = 0;
   std::vector<std::pair<UnitId, UnitId>> split_history_;
   std::size_t events_applied_ = 0;
+  std::size_t propagations_ = 0;
 
   // --- scenario state (inert unless opt_.scenario asks for anything) ---
   Rng scenario_rng_;  // dedicated stream; rng_ never sees scenario draws

@@ -166,6 +166,72 @@ TEST(Simulator, WeeklyChurnAppliesEventsInOrder) {
   EXPECT_GT(sim.events_applied(), at8h);
 }
 
+TEST(Simulator, MoasTieKeepsTheLowerUnitsRoute) {
+  // A unit whose policy is the default but for its communities, and a
+  // second unit of the same origin announcing one of its prefixes with
+  // the default policy (a moas_extra entry naming the owner itself): both
+  // offer every VP one path for that prefix. The tie goes to the lower
+  // unit id, the owner's, so each record keeps the owner's communities,
+  // exactly as in a capture without the second unit.
+  const topo::Topology base =
+      topo::generate_topology(topo::era_params_v4(2024.75, 0.01), 3);
+  const PolicySet policies = assign_policies(base, 3);
+  const OriginUnit* owner = nullptr;
+  for (const auto& unit : policies.units) {
+    UnitPolicy plain = unit.policy;
+    plain.communities.clear();
+    const net::Prefix& first = policies.all_prefixes[unit.prefixes.at(0)];
+    if (unit.policy.communities.empty() || !(plain == UnitPolicy{}) ||
+        std::any_of(base.moas_extra.begin(), base.moas_extra.end(),
+                    [&](const auto& extra) { return extra.second == first; })) {
+      continue;
+    }
+    owner = &unit;
+    break;
+  }
+  ASSERT_NE(owner, nullptr) << "no unit with communities only";
+  const GlobalPrefixId prefix = owner->prefixes[0];
+
+  SimOptions opt;
+  opt.seed = 3;
+  opt.weekly_churn = false;
+  Simulator alone(base, opt);
+  topo::Topology extended = base;
+  extended.moas_extra.emplace_back(owner->origin,
+                                   policies.all_prefixes[prefix]);
+  Simulator twice(std::move(extended), opt);
+  ASSERT_EQ(twice.policies().units.size(), policies.units.size() + 1);
+  alone.capture();
+  twice.capture();
+
+  const auto record = [&](const Simulator& sim, std::size_t vp) {
+    const auto& records = sim.dataset().snapshots[0].peers[vp].records;
+    const auto it = std::find_if(
+        records.begin(), records.end(), [&](const bgp::RibRecord& r) {
+          return r.prefix == prefix && r.status == bgp::RecordStatus::kValid;
+        });
+    return it == records.end() ? nullptr : &*it;
+  };
+  std::size_t ties = 0;
+  for (std::size_t vp = 0; vp < alone.topology().vantage_points.size();
+       ++vp) {
+    const bgp::RibRecord* a = record(alone, vp);
+    const bgp::RibRecord* b = record(twice, vp);
+    ASSERT_EQ(a == nullptr, b == nullptr) << "vp " << vp;
+    if (a == nullptr) continue;
+    const auto hops = [](const Simulator& sim, bgp::PathId id) {
+      const auto flat = sim.dataset().paths.get(id).flat();
+      return std::vector<net::Asn>(flat.begin(), flat.end());
+    };
+    EXPECT_EQ(hops(alone, a->path), hops(twice, b->path)) << "vp " << vp;
+    EXPECT_EQ(alone.dataset().communities.get(a->communities),
+              twice.dataset().communities.get(b->communities))
+        << "vp " << vp;
+    ++ties;
+  }
+  EXPECT_GT(ties, 0u);
+}
+
 TEST(Simulator, EventsChangeCapturedTables) {
   SimOptions opt;
   opt.weekly_churn = true;
@@ -323,6 +389,27 @@ TEST(Simulator, DailyEventModeGeneratesSplits) {
   sim.capture();
   sim.advance_to(5 * kDay);
   EXPECT_GT(sim.events_applied(), 30u);
+}
+
+TEST(Simulator, CaptureAfterSplitsPropagatesOnlyTheNewUnits) {
+  // The first simulated day schedules splits only (a merge reverses an
+  // earlier split, and there is none yet). A split parent keeps its
+  // origin, policy and scenario state, so its routes still hold: the next
+  // capture propagates for the split-off units alone, at most once each.
+  SimOptions opt;
+  opt.weekly_churn = false;
+  opt.daily_event_rate = 20.0;
+  auto sim = make_sim(2019.0, 0.02, 5, opt);
+  sim.capture();
+  const std::size_t units = sim.policies().units.size();
+  const std::size_t before = sim.propagations();
+  EXPECT_GT(before, 0u);
+  sim.advance_to(kDay);
+  const std::size_t split_off = sim.policies().units.size() - units;
+  ASSERT_GT(split_off, 5u);
+  sim.capture();
+  EXPECT_GT(sim.propagations(), before);
+  EXPECT_LE(sim.propagations() - before, split_off);
 }
 
 TEST(Simulator, BaseTimeOffsetsTimestamps) {
