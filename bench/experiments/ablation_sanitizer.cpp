@@ -70,7 +70,7 @@ void run(Context& ctx) {
     core::GeneralStats stats;
   };
   std::vector<Outcome> outcomes(variants.size());
-  ctx.sweep_options().pool->run(variants.size(), [&](std::size_t i) {
+  ctx.pool().run(variants.size(), [&](std::size_t i) {
     const auto snap = core::sanitize(ds, 0, variants[i].config);
     core::AtomOptions serial;
     serial.threads = 1;

@@ -39,12 +39,9 @@ void register_table_vp_value(Registry& registry);
 void register_ablation_sanitizer(Registry& registry);
 void register_ablation_vps(Registry& registry);
 void register_extra_quality(Registry& registry);
-void register_perf_sweep(Registry& registry);
-void register_perf_incremental(Registry& registry);
-void register_perf_serve(Registry& registry);
 
 /// Registers every experiment above, in paper order (tables, figures,
-/// reproduction, ablations, extras, perf).
+/// reproduction, scenarios, VP value, ablations, extras).
 void register_all_experiments(Registry& registry);
 
 }  // namespace bgpatoms::bench

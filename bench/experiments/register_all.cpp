@@ -32,9 +32,6 @@ void register_all_experiments(Registry& registry) {
   register_ablation_sanitizer(registry);
   register_ablation_vps(registry);
   register_extra_quality(registry);
-  register_perf_sweep(registry);
-  register_perf_incremental(registry);
-  register_perf_serve(registry);
 }
 
 }  // namespace bgpatoms::bench

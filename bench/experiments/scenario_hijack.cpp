@@ -139,7 +139,7 @@ void run(Context& ctx) {
   const core::Campaign& base = ctx.campaign(configs[0]);
   const core::Campaign& scen = ctx.campaign(configs[1]);
   const bgp::Dataset* datasets[] = {&base.dataset(), &scen.dataset()};
-  core::TaskPool& pool = *ctx.sweep_options().pool;
+  core::TaskPool& pool = ctx.pool();
   ctx.note("Same seed, same topology: the only difference between the two "
            "campaigns is the scheduled incidents.");
 

@@ -43,7 +43,7 @@ void run(Context& ctx) {
   // The cells sanitize the one dataset independently: one batch on the
   // run's pool, rendered in grid order.
   std::vector<std::size_t> cells(kCollectors * kPeers);
-  ctx.sweep_options().pool->run(cells.size(), [&](std::size_t i) {
+  ctx.pool().run(cells.size(), [&](std::size_t i) {
     core::SanitizeConfig config;
     config.min_collectors = static_cast<int>(i / kPeers) + 1;
     config.min_peer_ases = static_cast<int>(i % kPeers) + 1;

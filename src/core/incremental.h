@@ -98,9 +98,9 @@ class IncrementalAtoms {
   AtomSet atoms();
 
   /// Order-independent O(rows) digest of the current partition: equal iff
-  /// the row-equality classes are equal. This is the cheap per-boundary
-  /// identity probe perf_incremental uses — it avoids materializing atom
-  /// bodies. Compare against partition_fingerprint(AtomSet).
+  /// the row-equality classes are equal. A cheap per-boundary identity
+  /// probe — it avoids materializing atom bodies. Compare against
+  /// partition_fingerprint(AtomSet).
   std::uint64_t partition_fingerprint();
 
   /// Materializes the maintained per-VP tables as a SanitizedSnapshot

@@ -178,25 +178,17 @@ SweepJob quarter_job(net::Family family, double year, double scale,
 }
 
 std::vector<QuarterMetrics> run_sweep(const std::vector<SweepJob>& jobs,
-                                      const SweepOptions& options) {
+                                      TaskPool& pool) {
   std::vector<QuarterMetrics> out(jobs.size());
   std::vector<double> cost(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     cost[i] = campaign_cost(jobs[i].config);
   }
   const std::vector<std::size_t> order = heaviest_first(cost);
-  const auto body = [&](std::size_t k) {
-    const std::size_t i = order[k];
-    CampaignConfig config = jobs[i].config;
-    if (config.seed == 0) config.seed = derive_seed(options.base_seed, i);
-    out[i] = quarter_metrics(run_campaign(config), config.year);
-  };
-  if (options.pool) {
-    options.pool->run(jobs.size(), body);
-  } else {
-    TaskPool pool(options.threads);
-    pool.run(jobs.size(), body);
-  }
+  pool.run(jobs.size(), [&](std::size_t k) {
+    const CampaignConfig& config = jobs[order[k]].config;
+    out[order[k]] = quarter_metrics(run_campaign(config), config.year);
+  });
   return out;
 }
 

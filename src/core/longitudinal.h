@@ -139,24 +139,11 @@ SweepJob quarter_job(net::Family family, double year, double scale,
 
 class TaskPool;
 
-struct SweepOptions {
-  /// Worker threads; 0 resolves via BGPATOMS_THREADS / hardware (see
-  /// core/parallel.h). Ignored when `pool` is set.
-  int threads = 0;
-  /// Seed base for jobs whose config.seed is 0: job i runs with
-  /// derive_seed(base_seed, i), independent of thread count.
-  std::uint64_t base_seed = 1;
-  /// Optional caller-owned worker pool. When set, run_sweep() schedules
-  /// onto it instead of spawning (and joining) a fresh TaskPool per call,
-  /// so a harness running many sweeps pays the thread-spawn cost once.
-  /// Results are bit-identical either way — seeds are per-job.
-  TaskPool* pool = nullptr;
-};
-
-/// Runs every job (each an independent share-nothing campaign) across a
-/// worker pool and returns their metrics in job order. Output is
-/// bit-identical to running the jobs sequentially, for any thread count.
+/// Runs every job (each an independent share-nothing campaign with its own
+/// seed) on the caller's `pool`, heaviest first, and returns their metrics
+/// in job order. Output is bit-identical to running the jobs sequentially,
+/// for any thread count.
 std::vector<QuarterMetrics> run_sweep(const std::vector<SweepJob>& jobs,
-                                      const SweepOptions& options = {});
+                                      TaskPool& pool);
 
 }  // namespace bgpatoms::core

@@ -12,10 +12,10 @@ namespace bgpatoms::core {
 
 int resolve_threads(int requested) {
   if (requested > 0) return requested;
-  if (const auto v = env_int("BGPATOMS_THREADS", "a positive integer")) {
-    if (*v > 0) return static_cast<int>(*v);
+  if (const auto v = env_int("BGPATOMS_THREADS", kThreadsRange)) {
+    if (*v > 0 && *v <= kMaxThreads) return static_cast<int>(*v);
     warn_env_ignored("BGPATOMS_THREADS", std::getenv("BGPATOMS_THREADS"),
-                     "a positive integer");
+                     kThreadsRange);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
@@ -138,17 +138,6 @@ std::vector<std::size_t> heaviest_first(const std::vector<double>& cost) {
     return cost[a] > cost[b];
   });
   return order;
-}
-
-void parallel_for(std::size_t n, int threads,
-                  const std::function<void(std::size_t)>& body) {
-  const int total = resolve_threads(threads);
-  if (n <= 1 || total <= 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  TaskPool pool(total);
-  pool.run(n, body);
 }
 
 }  // namespace bgpatoms::core

@@ -3,10 +3,9 @@
 // The longitudinal sweeps (and the atom grouping hot loop) are
 // embarrassingly parallel: independent jobs whose *inputs* fully determine
 // their outputs. Parallelism here therefore never touches the results —
-// every job owns its state (campaigns are share-nothing, see DESIGN.md),
-// seeds are derived per job index via SplitMix64, and merge steps order by
-// job/bucket index, so output is bit-identical for any worker count and
-// any completion order.
+// every job owns its state (campaigns are share-nothing, see DESIGN.md)
+// and carries its own seed, and merge steps order by job/bucket index, so
+// output is bit-identical for any worker count and any completion order.
 //
 // Worker-count resolution order: explicit request > BGPATOMS_THREADS
 // environment variable > std::thread::hardware_concurrency().
@@ -23,13 +22,18 @@
 
 namespace bgpatoms::core {
 
+/// Thread counts a flag or BGPATOMS_THREADS may ask for: 1 to kMaxThreads.
+constexpr int kMaxThreads = 4096;
+constexpr const char* kThreadsRange = "an integer from 1 to 4096";
+
 /// Worker count to use: `requested` if > 0, else the BGPATOMS_THREADS
-/// environment variable, else hardware_concurrency() (min 1).
+/// environment variable if in [1, kMaxThreads] (any other value warns once
+/// and is ignored), else hardware_concurrency() (min 1).
 int resolve_threads(int requested = 0);
 
-/// Seed for sweep job `index` under sweep seed `base`. A SplitMix64 mix of
-/// (base, index): independent of thread count and execution order, and
-/// well-separated even for adjacent bases or indices.
+/// Seed `index` remapped into seed universe `base` (bga_bench --seed). A
+/// SplitMix64 mix of (base, index): independent of thread count and
+/// execution order, and well-separated even for adjacent bases or indices.
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index);
 
 /// A fixed-size pool of worker threads executing indexed task batches.
@@ -76,10 +80,5 @@ class TaskPool {
 /// to hand a batch of unequal tasks to a pool, so that the longest start
 /// first and no worker idles through the batch's tail.
 std::vector<std::size_t> heaviest_first(const std::vector<double>& cost);
-
-/// One-shot helper: body(0..n-1) over resolve_threads(threads) workers.
-/// Runs inline (no pool) when n <= 1 or one worker resolves.
-void parallel_for(std::size_t n, int threads,
-                  const std::function<void(std::size_t)>& body);
 
 }  // namespace bgpatoms::core

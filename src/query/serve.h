@@ -3,9 +3,8 @@
 // A request is one JSON object; a reply is one JSON object. On the wire
 // both travel in length-prefixed frames (u32 little-endian payload length,
 // then the payload bytes — see frame()/read_frame in server.cpp); the
-// perf_serve load generator and the unit tests call ServeState::handle()
-// directly, so the measured/tested code is byte-for-byte the code the
-// socket loop runs.
+// unit tests call ServeState::handle() directly, so the tested code is
+// byte-for-byte the code the socket loop runs.
 //
 // Ops (field "op"):
 //   lookup   {"op":"lookup","q":"<prefix-or-address>"[,"snapshot":i]}

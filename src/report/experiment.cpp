@@ -100,12 +100,6 @@ std::uint64_t Context::seed(std::uint64_t paper_seed) const {
 
 int Context::threads() const { return pool_.thread_count(); }
 
-core::SweepOptions Context::sweep_options() const {
-  core::SweepOptions opt;
-  opt.pool = &pool_;
-  return opt;
-}
-
 const core::Campaign& Context::campaign(const core::CampaignConfig& config) {
   const core::Campaign* c = campaigns_.find(user_, config);
   if (c == nullptr) {
@@ -117,7 +111,7 @@ const core::Campaign& Context::campaign(const core::CampaignConfig& config) {
 
 std::vector<core::QuarterMetrics> Context::run_sweep(
     std::vector<core::SweepJob> jobs) {
-  return core::run_sweep(jobs, sweep_options());
+  return core::run_sweep(jobs, pool_);
 }
 
 void Context::note(std::string line) {

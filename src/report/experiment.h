@@ -59,7 +59,7 @@ struct ExperimentResult {
 class Context;
 
 struct Experiment {
-  std::string id;       // stable slug: "table1", "fig04", "perf_sweep"
+  std::string id;       // stable slug: "table1", "fig04", "scenario_hijack"
   std::string section;  // paper anchor
   std::string name;     // display name: "Table 1", "Figure 4"
   std::string title;    // one-line description
@@ -115,8 +115,8 @@ class Context {
   int threads() const;
 
   // -- shared simulation resources ------------------------------------
-  /// Sweep options wired to the run-wide shared pool.
-  core::SweepOptions sweep_options() const;
+  /// The run-wide shared pool. Tasks on it must not call back into it.
+  core::TaskPool& pool() const { return pool_; }
   /// A campaign this experiment's plan lists, built before the run
   /// started and kept until its last planned user finishes. Throws
   /// std::logic_error naming the experiment for an unplanned config.

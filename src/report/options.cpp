@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "core/env.h"
+#include "core/parallel.h"
 
 namespace bgpatoms::report {
 namespace {
@@ -36,8 +37,8 @@ RunOptions resolve_run_options(const std::optional<std::string>& scale_flag,
 
   if (threads_flag) {
     const auto v = core::parse_int(*threads_flag);
-    if (!v || *v <= 0 || *v > 4096) {
-      bad_flag("--threads", *threads_flag, "a positive integer");
+    if (!v || *v <= 0 || *v > core::kMaxThreads) {
+      bad_flag("--threads", *threads_flag, core::kThreadsRange);
     }
     opt.threads = static_cast<int>(*v);
   }

@@ -20,13 +20,10 @@ std::vector<SweepJob> small_jobs() {
 
 TEST(RunSweep, BitIdenticalAcrossThreadCounts) {
   const auto jobs = small_jobs();
-  SweepOptions opt;
-  opt.threads = 1;
-  const auto one = run_sweep(jobs, opt);
-  opt.threads = 2;
-  const auto two = run_sweep(jobs, opt);
-  opt.threads = 8;
-  const auto eight = run_sweep(jobs, opt);
+  TaskPool pool1(1), pool2(2), pool8(8);
+  const auto one = run_sweep(jobs, pool1);
+  const auto two = run_sweep(jobs, pool2);
+  const auto eight = run_sweep(jobs, pool8);
 
   ASSERT_EQ(one.size(), jobs.size());
   // QuarterMetrics operator== is field-exact, so this is bit-identity of
@@ -37,42 +34,14 @@ TEST(RunSweep, BitIdenticalAcrossThreadCounts) {
 
 TEST(RunSweep, MatchesSequentialRunQuarter) {
   const auto jobs = small_jobs();
-  SweepOptions opt;
-  opt.threads = 4;
-  const auto metrics = run_sweep(jobs, opt);
+  TaskPool pool(4);
+  const auto metrics = run_sweep(jobs, pool);
   ASSERT_EQ(metrics.size(), jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const auto& c = jobs[i].config;
     EXPECT_EQ(metrics[i], run_quarter(c.family, c.year, c.scale, c.seed))
         << "job " << i;
   }
-}
-
-TEST(RunSweep, DerivesSeedsForUnseededJobs) {
-  // seed == 0 means "derive from (base_seed, index)": the job must behave
-  // exactly like an explicitly seeded one, independent of thread count.
-  std::vector<SweepJob> unseeded(2);
-  for (auto& job : unseeded) {
-    job.config.year = 2010.0;
-    job.config.scale = 0.005;
-    job.config.seed = 0;
-  }
-  SweepOptions opt;
-  opt.base_seed = 42;
-
-  opt.threads = 1;
-  const auto seq = run_sweep(unseeded, opt);
-  opt.threads = 8;
-  const auto par = run_sweep(unseeded, opt);
-  EXPECT_EQ(seq, par);
-
-  std::vector<SweepJob> explicit_jobs = unseeded;
-  explicit_jobs[0].config.seed = derive_seed(42, 0);
-  explicit_jobs[1].config.seed = derive_seed(42, 1);
-  EXPECT_EQ(seq, run_sweep(explicit_jobs, opt));
-  // Distinct derived seeds give distinct campaigns.
-  EXPECT_NE(seq[0].stats.prefixes, 0u);
-  EXPECT_NE(explicit_jobs[0].config.seed, explicit_jobs[1].config.seed);
 }
 
 TEST(QuarterMetricsTest, TwentyFourHourStabilityPopulated) {
@@ -98,7 +67,8 @@ TEST(QuarterMetricsTest, DataQualitySharesPopulated) {
 }
 
 TEST(RunSweep, EmptyJobListIsNoop) {
-  EXPECT_TRUE(run_sweep({}).empty());
+  TaskPool pool(2);
+  EXPECT_TRUE(run_sweep({}, pool).empty());
 }
 
 }  // namespace

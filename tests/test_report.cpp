@@ -477,6 +477,8 @@ TEST_F(RunOptionsTest, MalformedFlagThrows) {
                report::OptionError);
   EXPECT_THROW(report::resolve_run_options(std::nullopt, std::string("two")),
                report::OptionError);
+  EXPECT_THROW(report::resolve_run_options(std::nullopt, std::string("4097")),
+               report::OptionError);
   EXPECT_THROW(report::resolve_run_options(std::string("-1")),
                report::OptionError);
 }

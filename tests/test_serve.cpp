@@ -1,5 +1,5 @@
 // bga_serve protocol + socket loop: ServeState::handle over every op and
-// error path (pure-function determinism included), its streaming replies
+// error path (determinism included, on 8 threads too), its streaming replies
 // checked byte for byte against the JSON-tree reference
 // (serve_reference.h) on seeded random and mutated requests, and a live
 // Server on an ephemeral loopback port — framed requests for each query
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/atoms.h"
+#include "core/parallel.h"
 #include "query/serve.h"
 #include "query/server.h"
 #include "report/json.h"
@@ -201,6 +202,24 @@ TEST(ServeState, RepliesAreDeterministic) {
   const std::string first = state.handle(request).body;
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(state.handle(request).body, first);
+  }
+
+  // A mix of every op and an error, answered from 8 threads at once
+  // (raced under the tsan preset): each reply must equal the sequential
+  // reply to its request.
+  const std::vector<std::string> ops = {
+      request, R"({"op":"lookup","q":"10.0.0.9","snapshot":0})",
+      R"({"op":"equiv","a":"10.0.0.1","b":"10.1.0.1"})",
+      R"({"op":"history","q":"10.2.0.9"})", R"({"op":"stats"})",
+      R"({"op":"lookup","q":"10.0/99"})"};
+  std::vector<std::string> sequential, concurrent(200 * ops.size());
+  for (const std::string& r : ops) sequential.push_back(state.handle(r).body);
+  core::TaskPool pool(8);
+  pool.run(concurrent.size(), [&](std::size_t i) {
+    concurrent[i] = state.handle(ops[i % ops.size()]).body;
+  });
+  for (std::size_t i = 0; i < concurrent.size(); ++i) {
+    EXPECT_EQ(concurrent[i], sequential[i % ops.size()]) << i;
   }
 }
 

@@ -1,7 +1,13 @@
 // Property tests for the wire and MRT codecs: random structured inputs
 // must round-trip exactly, and random byte mutations must never crash the
-// decoders (they throw typed errors or decode something harmlessly).
+// decoders (they throw typed errors or decode something harmlessly). MRT
+// mutants cover v4 and v6 RIB dumps and BGP4MP streams, under asan_smoke.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "bgp/mrt.h"
 #include "bgp/wire.h"
@@ -143,19 +149,130 @@ TEST_P(CodecFuzz, MutatedUpdateNeverCrashes) {
   }
 }
 
+/// (offset, width) of a well-formed MRT stream's length and count fields:
+/// record length, view-name length, peer count, RIB entry count and
+/// attribute length, BGP4MP message, withdrawn and attribute lengths.
+std::vector<std::pair<std::size_t, std::size_t>> length_fields(
+    const std::vector<std::uint8_t>& s) {
+  const auto u16 = [&](std::size_t at) -> std::size_t {
+    return std::size_t{s[at]} << 8 | s[at + 1];
+  };
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  for (std::size_t rec = 0; rec < s.size();
+       rec += 12 + (u16(rec + 8) << 16 | u16(rec + 10))) {
+    out.emplace_back(rec + 8, 4);
+    const std::size_t body = rec + 12;
+    if (u16(rec + 4) == 13 && u16(rec + 6) == 1) {  // PEER_INDEX_TABLE
+      out.emplace_back(body + 4, 2);
+      out.emplace_back(body + 6 + u16(body + 4), 2);
+    } else if (u16(rec + 4) == 13) {  // RIB_IPV4_UNICAST / RIB_IPV6_UNICAST
+      const std::size_t count = body + 5 + (s[body + 4] + 7) / 8;
+      out.emplace_back(count, 2);
+      std::size_t entry = count + 2;
+      for (std::size_t i = 0; i < u16(count); ++i) {
+        out.emplace_back(entry + 6, 2);
+        entry += 8 + u16(entry + 6);
+      }
+    } else {  // BGP4MP_MESSAGE_AS4: AFI 2 carries IPv6 addresses
+      const std::size_t message = body + 12 + (u16(body + 10) == 2 ? 32 : 8);
+      const std::size_t withdrawn = message + 19;
+      out.emplace_back(message + 16, 2);
+      out.emplace_back(withdrawn, 2);
+      out.emplace_back(withdrawn + 2 + u16(withdrawn), 2);
+    }
+  }
+  return out;
+}
+
+/// `m` mutated once: 1-8 flipped bytes, 0x00 or 0xFF over one of its
+/// length `fields`, a run of `donor` spliced in over a run of it, or an
+/// inserted or deleted run of bytes.
+std::vector<std::uint8_t> mutate(
+    Rng& rng, std::vector<std::uint8_t> m,
+    const std::vector<std::pair<std::size_t, std::size_t>>& fields,
+    const std::vector<std::uint8_t>& donor) {
+  const std::size_t pos = rng.next_below(m.size());
+  const auto run_end = [&](std::size_t max_len) {
+    return m.begin() + std::min(m.size(), pos + 1 + rng.next_below(max_len));
+  };
+  switch (rng.next_below(5)) {
+    case 0:
+      for (std::uint64_t k = 0, n = 1 + rng.next_below(8); k < n; ++k) {
+        m[rng.next_below(m.size())] ^=
+            static_cast<std::uint8_t>(1 + rng.next_below(255));
+      }
+      break;
+    case 1: {
+      const auto [offset, width] = fields[rng.next_below(fields.size())];
+      std::fill_n(m.begin() + offset, width, rng.chance(0.5) ? 0x00 : 0xFF);
+      break;
+    }
+    case 2: {
+      const std::size_t from = rng.next_below(donor.size());
+      const std::size_t len =
+          1 + rng.next_below(std::min<std::size_t>(64, donor.size() - from));
+      m.erase(m.begin() + pos, run_end(64));
+      m.insert(m.begin() + pos, donor.begin() + from,
+               donor.begin() + from + len);
+      break;
+    }
+    case 3: {
+      std::vector<std::uint8_t> run(1 + rng.next_below(16));
+      for (auto& b : run) b = static_cast<std::uint8_t>(rng.next_u64());
+      m.insert(m.begin() + pos, run.begin(), run.end());
+      break;
+    }
+    default:
+      m.erase(m.begin() + pos, run_end(16));
+  }
+  return m;
+}
+
 TEST_P(CodecFuzz, MutatedMrtNeverCrashes) {
   Rng rng(GetParam() ^ 0x7777ULL);
-  const Dataset ds = random_dataset(rng, net::Family::kIPv4, 20);
-  const auto bytes = write_mrt_rib(ds, 0, 0);
-  for (int trial = 0; trial < 300; ++trial) {
-    auto mutated = bytes;
-    const std::size_t pos = rng.next_below(mutated.size());
-    mutated[pos] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
+  std::vector<std::vector<std::uint8_t>> inputs;  // v4/v6 RIB dump + updates
+  for (net::Family family : {net::Family::kIPv4, net::Family::kIPv6}) {
+    Dataset ds = random_dataset(rng, family, 40);
+    const auto& records = ds.snapshots[0].peers[0].records;
+    for (int i = 0; i < 30; ++i) {
+      const RibRecord& rec = records[rng.next_below(records.size())];
+      UpdateRecord u;
+      u.timestamp = ds.snapshots[0].timestamp + i;
+      if (i % 4 == 3) {
+        u.withdrawn = {rec.prefix};
+      } else {
+        u.path = rec.path;
+        u.communities = rec.communities;
+        u.announced = {rec.prefix,
+                       records[rng.next_below(records.size())].prefix};
+      }
+      ds.updates.push_back(std::move(u));
+    }
+    inputs.push_back(write_mrt_rib(ds, 0, 0));
+    inputs.push_back(write_mrt_updates(ds, 0));
+  }
+  // Every input decodes or throws MrtError/WireError; any other exception
+  // (or, under the asan preset, any memory error) fails.
+  const auto check = [](std::span<const std::uint8_t> bytes, const char* what) {
     try {
-      const auto back = read_mrt(mutated);
-      (void)back;
+      (void)read_mrt(bytes);
     } catch (const MrtError&) {
     } catch (const WireError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": wrong exception type: " << e.what();
+    }
+  };
+  for (const auto& input : inputs) {
+    ASSERT_NO_THROW(read_mrt(input));
+    const std::size_t prefix =
+        std::min<std::size_t>(input.size(), 1024 + rng.next_below(1025));
+    for (std::size_t len = 0; len < prefix; ++len) {
+      check({input.data(), len}, "truncation");
+    }
+    const auto fields = length_fields(input);
+    for (int trial = 0; trial < 500; ++trial) {
+      check(mutate(rng, input, fields, inputs[rng.next_below(inputs.size())]),
+            "mutant");
     }
   }
 }
