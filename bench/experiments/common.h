@@ -100,22 +100,22 @@ inline std::vector<core::CampaignConfig> repro_2002_plan(const Context& ctx) {
   return {repro_2002_config(ctx)};
 }
 
-/// The §A8.2 biennial grid (2004, 2006, ..., 2024): one sweep job per
+/// The §A8.2 biennial grid (2004, 2006, ..., 2024): one campaign per
 /// year at `scale`, seeded `seed_base + year` — the full-feed-threshold
-/// trend fig12/fig13/table_vp_value all walk. Distinct seed bases keep
-/// the experiments' campaigns independent while staying reproducible.
-inline std::vector<core::SweepJob> full_feed_trend_jobs(const Context& ctx,
-                                                        double scale,
-                                                        int seed_base) {
-  std::vector<core::SweepJob> jobs;
+/// trend fig12/fig13/table_vp_value/extra_quality all walk. Distinct seed
+/// bases keep the experiments' campaigns independent while staying
+/// reproducible.
+inline std::vector<core::CampaignConfig> full_feed_trend_jobs(
+    const Context& ctx, double scale, int seed_base) {
+  std::vector<core::CampaignConfig> configs;
   for (double year = 2004.0; year <= 2024.76; year += 2.0) {
-    core::SweepJob job;
-    job.config.year = year;
-    job.config.scale = scale;
-    job.config.seed = ctx.seed(seed_base + static_cast<int>(year));
-    jobs.push_back(job);
+    core::CampaignConfig config;
+    config.year = year;
+    config.scale = scale;
+    config.seed = ctx.seed(seed_base + static_cast<int>(year));
+    configs.push_back(config);
   }
-  return jobs;
+  return configs;
 }
 
 }  // namespace bgpatoms::bench

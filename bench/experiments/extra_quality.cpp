@@ -14,15 +14,7 @@ void run(Context& ctx) {
   const double scale = ctx.scale(0.01);
   ctx.note_scale(scale);
 
-  std::vector<core::SweepJob> jobs;
-  for (double year = 2004.0; year <= 2024.76; year += 2.0) {
-    core::SweepJob job;
-    job.config.year = year;
-    job.config.scale = scale;
-    job.config.seed = ctx.seed(7000 + static_cast<int>(year));
-    jobs.push_back(job);
-  }
-  const auto metrics = ctx.run_sweep(jobs);
+  const auto metrics = ctx.run_sweep(full_feed_trend_jobs(ctx, scale, 7000));
 
   auto& table = ctx.add_table(
       "trend", "",

@@ -11,12 +11,12 @@ void run(Context& ctx) {
   const double scale = ctx.scale(0.008);
   ctx.note_scale(scale);
 
-  std::vector<core::SweepJob> jobs;
+  std::vector<core::CampaignConfig> configs;
   for (double year = 2004.0; year <= 2024.76; year += 1.0) {
-    jobs.push_back(core::quarter_job(net::Family::kIPv4, year, scale,
-                                     ctx.seed(1000 + (int)year)));
+    configs.push_back(core::quarter_config(net::Family::kIPv4, year, scale,
+                                           ctx.seed(1000 + (int)year)));
   }
-  const auto metrics = ctx.run_sweep(jobs);
+  const auto metrics = ctx.run_sweep(configs);
 
   std::vector<std::string> cols{"year"};
   for (const char* side : {"all", "multi"}) {

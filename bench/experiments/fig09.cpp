@@ -11,15 +11,15 @@ void run(Context& ctx) {
   const double scale = ctx.scale(0.05);
   ctx.note_scale(scale);
 
-  std::vector<core::SweepJob> jobs;
+  std::vector<core::CampaignConfig> configs;
   for (double year = 2011.0; year <= 2024.76; year += 1.0) {
-    jobs.push_back(core::quarter_job(net::Family::kIPv6, year, scale,
-                                     ctx.seed(3000 + (int)year)));
+    configs.push_back(core::quarter_config(net::Family::kIPv6, year, scale,
+                                           ctx.seed(3000 + (int)year)));
   }
-  // The IPv4 comparison quarter rides in the same sweep as the last job.
-  jobs.push_back(core::quarter_job(net::Family::kIPv4, 2024.75,
-                                   ctx.scale(0.008), ctx.seed(3999)));
-  const auto metrics = ctx.run_sweep(jobs);
+  // The IPv4 comparison quarter rides in the same sweep as the last one.
+  configs.push_back(core::quarter_config(net::Family::kIPv4, 2024.75,
+                                         ctx.scale(0.008), ctx.seed(3999)));
+  const auto metrics = ctx.run_sweep(configs);
   const auto& v4 = metrics.back();
 
   auto& table = ctx.add_table(

@@ -29,11 +29,7 @@ namespace {
 
 /// One campaign per year of the §A8.2 biennial grid.
 std::vector<core::CampaignConfig> campaigns(const Context& ctx) {
-  std::vector<core::CampaignConfig> configs;
-  for (const auto& job : full_feed_trend_jobs(ctx, ctx.scale(0.01), 7000)) {
-    configs.push_back(job.config);
-  }
-  return configs;
+  return full_feed_trend_jobs(ctx, ctx.scale(0.01), 7000);
 }
 
 void run(Context& ctx) {

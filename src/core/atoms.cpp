@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <memory>
+#include <functional>
 #include <span>
 #include <stdexcept>
 
@@ -76,6 +76,16 @@ void finalize_atom(AtomSet& out, OriginCache& origin_of, std::uint32_t a) {
 
 constexpr std::size_t kParallelMinPrefixes = 4096;
 
+/// body(0..tasks-1): on `pool` when non-null, else on the calling thread.
+void run_tasks(TaskPool* pool, std::size_t tasks,
+               const std::function<void(std::size_t)>& body) {
+  if (pool != nullptr) {
+    pool->run(tasks, body);
+  } else {
+    for (std::size_t t = 0; t < tasks; ++t) body(t);
+  }
+}
+
 /// Rejects malformed AtomOptions::vp_subset values before the matrix
 /// build indexes through them: entries must be strictly ascending column
 /// indices into a snapshot with `vp_count` vantage points.
@@ -100,6 +110,85 @@ void validate_vp_subset(const std::vector<std::uint32_t>& subset,
 }  // namespace
 
 namespace atoms_detail {
+
+std::vector<std::vector<std::uint32_t>> group_rows(
+    const AtomSignatureMatrix& matrix, TaskPool* pool) {
+  const std::size_t n = matrix.num_prefixes();
+
+  // Row hashing, chunked: contiguous 32-bit lanes through the
+  // vectorizable mixer (net/hash.h).
+  std::vector<std::uint64_t> hashes(n);
+  {
+    OBS_SPAN("atoms.hash");
+    constexpr std::size_t kChunk = 2048;
+    run_tasks(pool, (n + kChunk - 1) / kChunk, [&](std::size_t c) {
+      const std::size_t hi = std::min(n, (c + 1) * kChunk);
+      for (std::size_t i = c * kChunk; i < hi; ++i) {
+        hashes[i] = hash_row32(matrix.row(i), kRowSeed);
+      }
+    });
+  }
+
+  // Group rows by equality (hash bucket + memcmp verification). Sharded
+  // by row hash: equal rows share a hash, so shards group independently;
+  // the merge orders groups by their lowest row, reproducing the
+  // sequential first-encounter order bit-exactly for any worker count —
+  // and for any hash function, which is why this kernel can use a
+  // different mixer than the CSR reference yet stay bit-identical.
+  constexpr std::size_t kShards = 64;
+  std::vector<std::uint64_t> shard_offset(kShards + 1, 0);
+  for (std::uint64_t h : hashes) ++shard_offset[(h % kShards) + 1];
+  for (std::size_t s = 0; s < kShards; ++s) {
+    shard_offset[s + 1] += shard_offset[s];
+  }
+  std::vector<std::uint32_t> shard_items(n);
+  {
+    std::vector<std::uint64_t> cursor(shard_offset.begin(),
+                                      shard_offset.end() - 1);
+    for (std::uint32_t idx = 0; idx < n; ++idx) {
+      shard_items[cursor[hashes[idx] % kShards]++] = idx;
+    }
+  }
+
+  const std::size_t row_bytes = matrix.num_vps() * sizeof(std::uint32_t);
+  std::vector<std::vector<std::vector<std::uint32_t>>> shard_groups(kShards);
+  {
+    OBS_SPAN("atoms.group");
+    run_tasks(pool, kShards, [&](std::size_t s) {
+      auto& groups = shard_groups[s];
+      std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> bucket;
+      for (std::uint64_t i = shard_offset[s]; i < shard_offset[s + 1]; ++i) {
+        const std::uint32_t idx = shard_items[i];
+        const std::uint32_t* row = matrix.row(idx).data();
+        auto& b = bucket[hashes[idx]];
+        bool placed = false;
+        for (std::uint32_t gid : b) {
+          if (std::memcmp(row, matrix.row(groups[gid].front()).data(),
+                          row_bytes) == 0) {
+            groups[gid].push_back(idx);
+            placed = true;
+            break;
+          }
+        }
+        if (!placed) {
+          b.push_back(static_cast<std::uint32_t>(groups.size()));
+          groups.push_back({idx});
+        }
+      }
+    });
+  }
+
+  // Deterministic merge: shard items were claimed in ascending row order,
+  // so each group's front() is its minimum row.
+  std::vector<std::vector<std::uint32_t>> merged;
+  for (auto& groups : shard_groups) {
+    merged.insert(merged.end(), std::make_move_iterator(groups.begin()),
+                  std::make_move_iterator(groups.end()));
+  }
+  std::sort(merged.begin(), merged.end(),
+            [](const auto& a, const auto& b) { return a.front() < b.front(); });
+  return merged;
+}
 
 void fill_atom_bodies(AtomSet& out,
                       const std::vector<std::vector<std::uint32_t>>& groups,
@@ -131,12 +220,7 @@ void fill_atom_bodies(AtomSet& out,
       }
     }
   };
-  const std::size_t chunks = (num_atoms + kAtomChunk - 1) / kAtomChunk;
-  if (pool != nullptr) {
-    pool->run(chunks, fill_chunk);
-  } else {
-    for (std::size_t c = 0; c < chunks; ++c) fill_chunk(c);
-  }
+  run_tasks(pool, (num_atoms + kAtomChunk - 1) / kAtomChunk, fill_chunk);
   out.atom_of.reserve(snapshot.prefixes.size());
   for (std::uint32_t a = 0; a < out.atoms.size(); ++a) {
     finalize_atom(out, origin_of, a);
@@ -172,28 +256,6 @@ AtomSignatureMatrix AtomSignatureMatrix::build(
     return snapshot.vps[masked ? subset[col] : col];
   };
 
-  // Optional method-(i) rewrite: map each used path id to its stripped
-  // interned id. The sequential pass interns in first-encounter order
-  // (VP-major, selected-table order) — the exact order the reference
-  // kernel's lazy interning produces — so the rewrite pool is
-  // bit-identical to it. The parallel fill below then only reads the
-  // mapping.
-  std::vector<std::uint32_t> remap;
-  if (options.strip_prepends_before_grouping) {
-    m.stripped_pool_ = std::make_shared<net::PathPool>();
-    remap.assign(snapshot.paths.size(), UINT32_MAX);
-    for (std::size_t col = 0; col < m.num_vps_; ++col) {
-      for (const auto& [prefix, path] : table_of(col).routes) {
-        (void)prefix;
-        if (remap[path] == UINT32_MAX) {
-          remap[path] =
-              m.stripped_pool_->intern(snapshot.paths.get(path).stripped());
-        }
-      }
-    }
-    check_packing_limits(snapshot.vps.size(), m.stripped_pool_->size());
-  }
-
   // Column fill: VP v writes only column v, so the fill is race-free
   // without locks. Tables and the retained-prefix list are both sorted by
   // prefix id and sanitize guarantees tables only hold retained prefixes,
@@ -202,20 +264,13 @@ AtomSignatureMatrix AtomSignatureMatrix::build(
   const auto& prefixes = snapshot.prefixes;
   const std::size_t stride = m.num_vps_;
   std::uint32_t* cells = m.cells_.data();
-  auto fill_vp = [&](std::size_t vp) {
+  run_tasks(pool, m.num_vps_, [&](std::size_t vp) {
     std::size_t pi = 0;
     for (const auto& [prefix, path] : table_of(vp).routes) {
       while (prefixes[pi] != prefix) ++pi;
-      const std::uint32_t id =
-          remap.empty() ? path : remap[path];
-      cells[pi * stride + vp] = id + 1;
+      cells[pi * stride + vp] = path + 1;
     }
-  };
-  if (pool != nullptr) {
-    pool->run(m.num_vps_, fill_vp);
-  } else {
-    for (std::size_t vp = 0; vp < m.num_vps_; ++vp) fill_vp(vp);
-  }
+  });
   return m;
 }
 
@@ -250,86 +305,14 @@ AtomSet compute_atoms(const SanitizedSnapshot& snapshot,
   OBS_COUNT_N("atoms.routes", routes);
   OBS_COUNT_N("atoms.matrix_cells", n * num_vps);
 
-  // Row hashing, chunked across the pool: contiguous 32-bit lanes through
-  // the vectorizable mixer (net/hash.h).
-  std::vector<std::uint64_t> hashes(n);
-  {
-    OBS_SPAN("atoms.hash");
-    constexpr std::size_t kChunk = 2048;
-    pool.run((n + kChunk - 1) / kChunk, [&](std::size_t c) {
-      const std::size_t hi = std::min(n, (c + 1) * kChunk);
-      for (std::size_t i = c * kChunk; i < hi; ++i) {
-        hashes[i] = hash_row32(matrix.row(i), 0x9d3f);
-      }
-    });
-  }
-
-  // Group prefixes by row equality (hash bucket + memcmp verification).
-  // Sharded by row hash: equal rows share a hash, so shards group
-  // independently; the merge orders groups by their lowest prefix index,
-  // reproducing the sequential first-encounter order bit-exactly for any
-  // worker count — and for any hash function, which is why the SoA kernel
-  // can use a different mixer than the CSR kernel yet stay bit-identical.
-  constexpr std::size_t kShards = 64;
-  std::vector<std::uint64_t> shard_offset(kShards + 1, 0);
-  for (std::uint64_t h : hashes) ++shard_offset[(h % kShards) + 1];
-  for (std::size_t s = 0; s < kShards; ++s) {
-    shard_offset[s + 1] += shard_offset[s];
-  }
-  std::vector<std::uint32_t> shard_items(n);
-  {
-    std::vector<std::uint64_t> cursor(shard_offset.begin(),
-                                      shard_offset.end() - 1);
-    for (std::uint32_t idx = 0; idx < n; ++idx) {
-      shard_items[cursor[hashes[idx] % kShards]++] = idx;
-    }
-  }
-
-  const std::size_t row_bytes = num_vps * sizeof(std::uint32_t);
-  std::vector<std::vector<std::vector<std::uint32_t>>> shard_groups(kShards);
-  {
-    OBS_SPAN("atoms.group");
-    pool.run(kShards, [&](std::size_t s) {
-      auto& groups = shard_groups[s];
-      std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> bucket;
-      for (std::uint64_t i = shard_offset[s]; i < shard_offset[s + 1]; ++i) {
-        const std::uint32_t idx = shard_items[i];
-        const std::uint32_t* row = matrix.row(idx).data();
-        auto& b = bucket[hashes[idx]];
-        bool placed = false;
-        for (std::uint32_t gid : b) {
-          if (std::memcmp(row, matrix.row(groups[gid].front()).data(),
-                          row_bytes) == 0) {
-            groups[gid].push_back(idx);
-            placed = true;
-            break;
-          }
-        }
-        if (!placed) {
-          b.push_back(static_cast<std::uint32_t>(groups.size()));
-          groups.push_back({idx});
-        }
-      }
-    });
-  }
-
-  // Deterministic merge: shard items were claimed in ascending prefix-
-  // index order, so each group's front() is its minimum index.
-  std::vector<std::vector<std::uint32_t>> merged;
-  for (auto& groups : shard_groups) {
-    merged.insert(merged.end(), std::make_move_iterator(groups.begin()),
-                  std::make_move_iterator(groups.end()));
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const auto& a, const auto& b) { return a.front() < b.front(); });
-  OBS_COUNT_N("atoms.groups", merged.size());
+  const auto groups = atoms_detail::group_rows(matrix, &pool);
+  OBS_COUNT_N("atoms.groups", groups.size());
 
   // Finalize: per-atom paths straight off the group's signature row
   // (ascending VP order by construction), origin, MOAS flag, indexes.
   {
     OBS_SPAN("atoms.finalize");
-    out.own_pool = matrix.stripped_pool();
-    atoms_detail::fill_atom_bodies(out, merged, matrix, &pool);
+    atoms_detail::fill_atom_bodies(out, groups, matrix, &pool);
   }
   return out;
 }

@@ -8,9 +8,11 @@
 // Implementation: each prefix's signature is one row of a dense
 // structure-of-arrays matrix (num_prefixes x num_VPs of 32-bit cells, see
 // AtomSignatureMatrix); rows are hashed with a vectorizable lane mixer and
-// prefixes group by row equality (hash-sharded, equality-verified). The
-// CSR-of-packed-entries kernel this one replaced survives only as the test
-// oracle in tests/atoms_reference.h; test_atoms_kernel pins the two
+// prefixes group by row equality (hash-sharded, equality-verified) in
+// atoms_detail::group_rows, the one row-grouping kernel: compute_atoms,
+// the IncrementalAtoms seed and select_vps' full partition all call it.
+// The CSR-of-packed-entries kernel this one replaced survives only as the
+// test oracle in tests/atoms_reference.h; test_atoms_kernel pins the two
 // bit-identical.
 #pragma once
 
@@ -28,9 +30,6 @@ namespace bgpatoms::core {
 class TaskPool;
 
 struct AtomOptions {
-  /// Method (i) of §3.4.2: collapse AS-path prepending *before* grouping.
-  /// Default off — the paper (and methods (ii)/(iii)) group on raw paths.
-  bool strip_prepends_before_grouping = false;
   /// Workers for the signature hashing/grouping loop. Default 0: resolve
   /// via BGPATOMS_THREADS / hardware, the same precedence every entry
   /// point shares (flag > env > default, see report/options.h).
@@ -71,10 +70,7 @@ class AtomSignatureMatrix {
  public:
   static constexpr std::uint32_t kAbsent = 0;
 
-  /// Builds the matrix for `snapshot`. When
-  /// `options.strip_prepends_before_grouping` is set, paths are rewritten
-  /// through stripped_pool() (interned in first-encounter order, matching
-  /// the reference kernel's pool bit-for-bit). A non-empty
+  /// Builds the matrix for `snapshot`. A non-empty
   /// options.vp_subset restricts the matrix to those columns: num_vps()
   /// becomes the subset size and column j holds
   /// snapshot.vps[vp_subset[j]]'s table, bit-identical to building over a
@@ -105,16 +101,10 @@ class AtomSignatureMatrix {
   /// Path id encoded in a non-absent cell.
   static bgp::PathId path_of(std::uint32_t cell) { return cell - 1; }
 
-  /// The method-(i) rewrite pool; null unless the build stripped prepends.
-  const std::shared_ptr<net::PathPool>& stripped_pool() const {
-    return stripped_pool_;
-  }
-
  private:
   std::vector<std::uint32_t> cells_;
   std::size_t num_prefixes_ = 0;
   std::size_t num_vps_ = 0;
-  std::shared_ptr<net::PathPool> stripped_pool_;
 };
 
 struct Atom {
@@ -136,8 +126,9 @@ struct Atom {
 
 struct AtomSet {
   const SanitizedSnapshot* snapshot = nullptr;
-  /// Pool resolving Atom::paths ids. Usually the snapshot's pool; method
-  /// (i) grouping rewrites paths and owns a separate pool.
+  /// Pool resolving Atom::paths ids when it is not the snapshot's:
+  /// IncrementalAtoms::atoms() sets a copy of its evolving pool here.
+  /// Null from compute_atoms.
   std::shared_ptr<const net::PathPool> own_pool;
   std::vector<Atom> atoms;
   /// prefix id -> atom index.
@@ -192,15 +183,31 @@ AtomSet compute_atoms(const SanitizedSnapshot& snapshot,
 
 namespace atoms_detail {
 
+/// Seed of the row hash that buckets signature rows: group_rows' and
+/// IncrementalAtoms' regroup, whose buckets must agree. The partition
+/// does not depend on the choice.
+inline constexpr std::uint64_t kRowSeed = 0x9d3f;
+
+/// The row-grouping kernel: the row-equality classes of `matrix`, each
+/// a list of row indices in ascending order, the classes ordered by
+/// their smallest row (first-encounter order over rows 0..n-1). Rows are
+/// hashed in chunks, sharded by hash, bucketed per shard with every match
+/// checked by memcmp against the class's first row, and the shards'
+/// classes merged by smallest row, so the result is bit-identical for
+/// any worker count and any hash function. `pool` runs the hash and shard
+/// batches when non-null; null runs them on the calling thread.
+std::vector<std::vector<std::uint32_t>> group_rows(
+    const AtomSignatureMatrix& matrix, TaskPool* pool);
+
 /// Shared finalize stage: fills `out.atoms` (prefixes + per-VP paths read
 /// off each group's signature row), then the origin/MOAS derivation and
 /// the atom_of / atoms_by_origin indexes. `groups` must be row-index
 /// groups with ascending members (front() == minimum), ordered by
-/// front() — the canonical group order both compute_atoms' sharded merge
-/// and IncrementalAtoms' first-seen row walk produce. `out.snapshot` and
-/// `out.own_pool` must be set before the call (origin lookups go through
-/// out.paths()). `pool` parallelizes the body fill when non-null; the
-/// result is bit-identical either way.
+/// front() — the canonical order group_rows produces and
+/// IncrementalAtoms::atoms()' first-seen row walk reproduces.
+/// `out.snapshot` and `out.own_pool` must be set before the call (origin
+/// lookups go through out.paths()). `pool` parallelizes the body fill
+/// when non-null; the result is bit-identical either way.
 void fill_atom_bodies(AtomSet& out,
                       const std::vector<std::vector<std::uint32_t>>& groups,
                       const AtomSignatureMatrix& matrix, TaskPool* pool);

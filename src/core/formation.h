@@ -11,10 +11,11 @@
 //     atom of the same origin AS; 1 for an origin's only atom;
 //   * per-AS first/last split: min/max of d(a) over the origin's atoms.
 //
-// Prepending handling (§3.4.2): three methods are implemented; (iii) —
-// group on raw paths, compare run-length-encoded paths so a prepend-count
-// difference splits at the AS applying the prepend — is the paper's choice
-// and the default.
+// Prepending handling (§3.4.2): methods (ii) and (iii) are implemented,
+// the two Figure 1 compares. Both group on raw paths; (iii) — compare
+// run-length-encoded paths so a prepend-count difference splits at the
+// AS applying the prepend — is the paper's choice and the default.
+// Method (i), stripping prepends before grouping, is not offered.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +26,6 @@
 namespace bgpatoms::core {
 
 enum class PrependMethod : std::uint8_t {
-  kStripBeforeGrouping = 1,  // (i)   — discards prepending policy entirely
   kStripAfterGrouping = 2,   // (ii)  — original paper's (inferred) method
   kRunAware = 3,             // (iii) — the paper's adopted method
 };

@@ -2,24 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
-#include <stdexcept>
 
 #include "net/hash.h"
 #include "obs/obs.h"
 
 namespace bgpatoms::core {
-
-namespace {
-
-/// Seed for the canonical-partition digest (the header constant, so
-/// query::AtomIndex computes the identical digest); distinct from the
-/// grouping hash seed so the two never alias by construction.
-constexpr std::uint64_t kFingerprintSeed = kPartitionFingerprintSeed;
-/// Row-grouping hash seed — the same one compute_atoms uses, though the
-/// contract makes the partition independent of the choice.
-constexpr std::uint64_t kRowSeed = 0x9d3f;
-
-}  // namespace
 
 IncrementalAtoms::IncrementalAtoms(const SanitizedSnapshot& seed,
                                    const net::PathPool& stream_paths,
@@ -27,19 +14,8 @@ IncrementalAtoms::IncrementalAtoms(const SanitizedSnapshot& seed,
     : seed_(&seed),
       stream_paths_(&stream_paths),
       pool_(std::make_shared<net::PathPool>(seed.paths)) {
-  if (options.strip_prepends_before_grouping) {
-    // Method (i) rewrites paths through a separate first-encounter pool;
-    // maintaining that pool incrementally would reorder its interning and
-    // break the bit-identity oracle. It is a batch research mode, not a
-    // serve path.
-    throw std::invalid_argument(
-        "IncrementalAtoms: strip_prepends_before_grouping is not supported "
-        "for incremental maintenance");
-  }
   OBS_SPAN("atoms.incr.seed");
-  AtomOptions mask;
-  mask.vp_subset = options.vp_subset;
-  matrix_ = AtomSignatureMatrix::build(seed, mask, nullptr);
+  matrix_ = AtomSignatureMatrix::build(seed, options, nullptr);
   vp_cols_ = options.vp_subset;
 
   // UpdateRecord::peer indexes the raw snapshot's peers array; sanitize
@@ -57,37 +33,24 @@ IncrementalAtoms::IncrementalAtoms(const SanitizedSnapshot& seed,
     vp_of_peer_[vp.source_index] = col;
   }
 
-  // Seed grouping: the sequential first-encounter walk both batch kernels
-  // are defined against. Rows are claimed in ascending index order, so
-  // every group's first member is its minimum row.
+  // Seed grouping through the batch kernel, on this thread: members come
+  // ascending and groups ordered by their minimum row, so group ids are
+  // first-encounter numbers and every group's first member is its
+  // minimum. Each group's bucket key is its rows' hash.
   const std::size_t n = matrix_.num_prefixes();
-  const std::size_t row_bytes = matrix_.num_vps() * sizeof(std::uint32_t);
   group_of_.assign(n, 0);
   pos_in_group_.assign(n, 0);
   row_dirty_.assign(n, 0);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint64_t h = hash_row32(matrix_.row(i), kRowSeed);
-    auto& b = bucket_[h];
-    bool placed = false;
-    for (std::uint32_t gid : b) {
-      if (std::memcmp(matrix_.row(i).data(),
-                      matrix_.row(groups_[gid].members.front()).data(),
-                      row_bytes) == 0) {
-        group_of_[i] = gid;
-        pos_in_group_[i] = static_cast<std::uint32_t>(
-            groups_[gid].members.size());
-        groups_[gid].members.push_back(i);
-        placed = true;
-        break;
-      }
+  for (auto& members : atoms_detail::group_rows(matrix_, nullptr)) {
+    const auto gid = static_cast<std::uint32_t>(groups_.size());
+    const std::uint64_t h =
+        hash_row32(matrix_.row(members.front()), atoms_detail::kRowSeed);
+    bucket_[h].push_back(gid);
+    for (std::uint32_t pos = 0; pos < members.size(); ++pos) {
+      group_of_[members[pos]] = gid;
+      pos_in_group_[members[pos]] = pos;
     }
-    if (!placed) {
-      const auto gid = static_cast<std::uint32_t>(groups_.size());
-      b.push_back(gid);
-      groups_.push_back({{i}, h});
-      group_of_[i] = gid;
-      pos_in_group_[i] = 0;
-    }
+    groups_.push_back({std::move(members), h});
   }
   group_stamp_.assign(groups_.size(), 0);
 }
@@ -207,7 +170,8 @@ void IncrementalAtoms::flush() {
   // minimum member first-seen, the canonical-order invariant).
   std::uint64_t merges = 0;
   for (const std::uint32_t r : dirty_rows_) {
-    const std::uint64_t h = hash_row32(matrix_.row(r), kRowSeed);
+    const std::uint64_t h =
+        hash_row32(matrix_.row(r), atoms_detail::kRowSeed);
     auto& b = bucket_[h];
     std::uint32_t target = kNoRow;
     for (const std::uint32_t gid : b) {
@@ -278,21 +242,6 @@ AtomSet IncrementalAtoms::atoms() {
   return out;
 }
 
-std::uint64_t IncrementalAtoms::partition_fingerprint() {
-  flush();
-  OBS_SPAN("atoms.incr.fingerprint");
-  const std::size_t n = matrix_.num_prefixes();
-  std::vector<std::uint32_t> canon(n, 0);
-  std::vector<std::uint32_t> number(groups_.size(), kNoRow);
-  std::uint32_t next = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::uint32_t& g = number[group_of_[i]];
-    if (g == kNoRow) g = next++;
-    canon[i] = g;
-  }
-  return hash_row32(canon.data(), n, kFingerprintSeed);
-}
-
 SanitizedSnapshot IncrementalAtoms::rebuild_snapshot() const {
   SanitizedSnapshot s;
   s.prefix_pool = seed_->prefix_pool;
@@ -333,7 +282,7 @@ std::uint64_t partition_fingerprint(const AtomSet& atoms) {
       canon[static_cast<std::size_t>(it - prefixes.begin())] = a;
     }
   }
-  return hash_row32(canon.data(), canon.size(), kFingerprintSeed);
+  return hash_row32(canon.data(), canon.size(), kPartitionFingerprintSeed);
 }
 
 }  // namespace bgpatoms::core

@@ -10,7 +10,9 @@
 // core::analyze's `incremental` follow) into a streaming consumer.
 //
 // Determinism contract (the same one both batch kernels obey): groups are
-// row-equality classes ordered by their minimum prefix index. apply() and
+// row-equality classes ordered by their minimum prefix index. The seed
+// partition comes from compute_atoms' row-grouping kernel
+// (atoms_detail::group_rows), run on the calling thread. apply() and
 // the regroup pass are strictly single-threaded and input-ordered, so the
 // maintained partition — and the atoms.incr.* counters — are bit-identical
 // for any chunking of the same record sequence and any thread count, and
@@ -56,7 +58,7 @@ class IncrementalAtoms {
     /// Dirty rows that landed in an existing group on re-insertion: an
     /// equality-class merge (rejoining the old remnant counts too).
     std::uint64_t merges = 0;
-    /// Regroup passes run (one per atoms()/fingerprint() with dirt).
+    /// Regroup passes run (one per atoms() call with dirt).
     std::uint64_t flushes = 0;
 
     friend bool operator==(const Counters&, const Counters&) = default;
@@ -69,10 +71,8 @@ class IncrementalAtoms {
   /// column j tracks seed.vps[vp_subset[j]], updates from unselected
   /// peers are ignored, and atoms()/rebuild_snapshot() carry
   /// subset-relative VP ids — bit-identical to the masked batch kernels
-  /// at every boundary. Throws std::invalid_argument for
-  /// options.strip_prepends_before_grouping (method (i) is a batch
-  /// research mode, not a serve path) or a malformed vp_subset, and
-  /// std::runtime_error past the 32-bit packing limits.
+  /// at every boundary. Throws std::invalid_argument for a malformed
+  /// vp_subset and std::runtime_error past the 32-bit packing limits.
   IncrementalAtoms(const SanitizedSnapshot& seed,
                    const net::PathPool& stream_paths,
                    const AtomOptions& options = {});
@@ -83,8 +83,8 @@ class IncrementalAtoms {
   /// announcement, mirroring RIB semantics. Records from peers that
   /// sanitization removed, prefixes that weren't retained, and
   /// announcements whose path carries a multi-member AS_SET (the records
-  /// sanitize drops) are ignored. Regrouping is deferred until atoms() /
-  /// partition_fingerprint() — applying is pure cell writes.
+  /// sanitize drops) are ignored. Regrouping is deferred until atoms() —
+  /// applying is pure cell writes.
   void apply(std::span<const bgp::UpdateRecord> records);
 
   /// Drains `updates` chunk by chunk through apply().
@@ -96,12 +96,6 @@ class IncrementalAtoms {
   /// and VP identities never change); own_pool is a copy of the evolving
   /// path pool, so the result stays valid as more updates are applied.
   AtomSet atoms();
-
-  /// Order-independent O(rows) digest of the current partition: equal iff
-  /// the row-equality classes are equal. A cheap per-boundary identity
-  /// probe — it avoids materializing atom bodies. Compare against
-  /// partition_fingerprint(AtomSet).
-  std::uint64_t partition_fingerprint();
 
   /// Materializes the maintained per-VP tables as a SanitizedSnapshot
   /// (self-contained copy; report/timestamp/prefixes carried over from
@@ -148,7 +142,8 @@ class IncrementalAtoms {
 
   // Row-equality classes. group_of_/pos_in_group_ are per row; emptied
   // Group slots are recycled through free_groups_. bucket_ maps a row
-  // hash to the group ids carrying it (exactness re-checked by memcmp).
+  // hash (atoms_detail::kRowSeed, the seed group_rows hashes with) to the
+  // group ids carrying it (exactness re-checked by memcmp).
   std::vector<Group> groups_;
   std::vector<std::uint32_t> free_groups_;
   std::vector<std::uint32_t> group_of_;
@@ -158,17 +153,17 @@ class IncrementalAtoms {
   // Rows written since the last flush (each listed once).
   std::vector<std::uint32_t> dirty_rows_;
   std::vector<std::uint8_t> row_dirty_;
-  // Scratch generation stamps for first-seen group walks (atoms(),
-  // partition_fingerprint()) and the flush()'s touched-group pass.
+  // Scratch generation stamps for atoms()' first-seen group walk and
+  // flush()'s touched-group pass.
   std::vector<std::uint32_t> group_stamp_;
   std::uint32_t stamp_gen_ = 0;
 
   Counters counters_;
 };
 
-/// Digest of a batch-computed AtomSet under the same encoding as
-/// IncrementalAtoms::partition_fingerprint(): equal iff the partitions of
-/// the (identical) prefix universe are equal.
+/// Order-independent O(prefixes) digest of an AtomSet's partition: equal
+/// iff the partitions of the (identical) prefix universe are equal, for
+/// compute_atoms, IncrementalAtoms::atoms() and query::AtomIndex alike.
 std::uint64_t partition_fingerprint(const AtomSet& atoms);
 
 }  // namespace bgpatoms::core

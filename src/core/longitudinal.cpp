@@ -159,34 +159,27 @@ QuarterMetrics quarter_metrics(const AnalysisResult& r, double year) {
       r.live ? &*r.live : nullptr);
 }
 
-QuarterMetrics run_quarter(net::Family family, double year, double scale,
-                           std::uint64_t seed) {
-  return quarter_metrics(run_campaign(quarter_job(family, year, scale, seed)
-                                          .config),
-                         year);
+CampaignConfig quarter_config(net::Family family, double year, double scale,
+                              std::uint64_t seed) {
+  CampaignConfig config;
+  config.family = family;
+  config.year = year;
+  config.scale = scale;
+  config.seed = seed;
+  config.with_stability = true;
+  return config;
 }
 
-SweepJob quarter_job(net::Family family, double year, double scale,
-                     std::uint64_t seed) {
-  SweepJob job;
-  job.config.family = family;
-  job.config.year = year;
-  job.config.scale = scale;
-  job.config.seed = seed;
-  job.config.with_stability = true;
-  return job;
-}
-
-std::vector<QuarterMetrics> run_sweep(const std::vector<SweepJob>& jobs,
-                                      TaskPool& pool) {
-  std::vector<QuarterMetrics> out(jobs.size());
-  std::vector<double> cost(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    cost[i] = campaign_cost(jobs[i].config);
+std::vector<QuarterMetrics> run_sweep(
+    const std::vector<CampaignConfig>& configs, TaskPool& pool) {
+  std::vector<QuarterMetrics> out(configs.size());
+  std::vector<double> cost(configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    cost[i] = campaign_cost(configs[i]);
   }
   const std::vector<std::size_t> order = heaviest_first(cost);
-  pool.run(jobs.size(), [&](std::size_t k) {
-    const CampaignConfig& config = jobs[order[k]].config;
+  pool.run(configs.size(), [&](std::size_t k) {
+    const CampaignConfig& config = configs[order[k]];
     out[order[k]] = quarter_metrics(run_campaign(config), config.year);
   });
   return out;

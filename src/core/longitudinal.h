@@ -121,29 +121,20 @@ QuarterMetrics quarter_metrics(const Campaign& campaign, double year);
 /// Campaign overload for the same capture.
 QuarterMetrics quarter_metrics(const AnalysisResult& analysis, double year);
 
-/// Runs one quarter at reduced scale and extracts the trend metrics.
-QuarterMetrics run_quarter(net::Family family, double year, double scale,
-                           std::uint64_t seed);
-
 // --- parallel longitudinal sweeps -----------------------------------------
 
-/// One independent unit of sweep work: a full campaign configuration.
-struct SweepJob {
-  CampaignConfig config;
-};
-
-/// A quarterly job as the trend benches run it (§2.4.1 procedure with the
-/// stability captures enabled).
-SweepJob quarter_job(net::Family family, double year, double scale,
-                     std::uint64_t seed);
+/// A quarter's campaign as the trend benches run it (§2.4.1 procedure
+/// with the stability captures enabled).
+CampaignConfig quarter_config(net::Family family, double year, double scale,
+                              std::uint64_t seed);
 
 class TaskPool;
 
-/// Runs every job (each an independent share-nothing campaign with its own
-/// seed) on the caller's `pool`, heaviest first, and returns their metrics
-/// in job order. Output is bit-identical to running the jobs sequentially,
-/// for any thread count.
-std::vector<QuarterMetrics> run_sweep(const std::vector<SweepJob>& jobs,
-                                      TaskPool& pool);
+/// Runs every campaign (each independent and share-nothing, with its own
+/// seed) on the caller's `pool`, heaviest first, and returns their
+/// quarter_metrics in `configs` order. Output is bit-identical to running
+/// them sequentially, for any thread count.
+std::vector<QuarterMetrics> run_sweep(
+    const std::vector<CampaignConfig>& configs, TaskPool& pool);
 
 }  // namespace bgpatoms::core

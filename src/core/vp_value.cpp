@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
-#include <stdexcept>
-#include <string>
+#include <span>
 #include <unordered_map>
 
 #include "core/incremental.h"
@@ -15,25 +14,10 @@ namespace bgpatoms::core {
 
 namespace {
 
-/// Row-hash seed for masked grouping — the batch kernels' seed, though
-/// the first-encounter relabeling makes the result independent of it.
-constexpr std::uint64_t kMaskedRowSeed = 0x9d3f;
 /// Below this row count candidate scoring runs single-threaded (the same
 /// gate compute_atoms applies: tiny inputs lose more to dispatch than
 /// they gain from workers).
 constexpr std::size_t kParallelMinRows = 4096;
-
-void check_columns(const AtomSignatureMatrix& matrix,
-                   std::span<const std::uint32_t> vps) {
-  for (const std::uint32_t vp : vps) {
-    if (vp >= matrix.num_vps()) {
-      throw std::invalid_argument(
-          "vp_value: column " + std::to_string(vp) +
-          " out of range (matrix has " + std::to_string(matrix.num_vps()) +
-          " VPs)");
-    }
-  }
-}
 
 /// Sum over classes of C(size, 2): row pairs grouped together. With the
 /// masked partition nested in the full one, the pairs the two partitions
@@ -47,88 +31,7 @@ std::uint64_t pairs_together(std::span<const std::uint32_t> labels,
   return s;
 }
 
-std::size_t count_of(const std::vector<std::uint32_t>& labels) {
-  if (labels.empty()) return 0;
-  return *std::max_element(labels.begin(), labels.end()) + 1;
-}
-
 }  // namespace
-
-std::vector<std::uint32_t> masked_partition(
-    const AtomSignatureMatrix& matrix, std::span<const std::uint32_t> vps) {
-  check_columns(matrix, vps);
-  const std::size_t n = matrix.num_prefixes();
-  std::vector<std::uint32_t> labels(n, 0);
-  if (n == 0 || vps.empty()) return labels;
-
-  // Walk rows in ascending order, bucketing by the hash of the selected
-  // cells and verifying exactly against a representative row: labels come
-  // out first-encounter numbered (class k's minimum row is the k-th
-  // smallest class minimum), the canonical order everything else uses.
-  std::vector<std::uint32_t> key(vps.size());
-  std::vector<std::uint32_t> rep;  // label -> representative row
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> bucket;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const auto row = matrix.row(i);
-    for (std::size_t k = 0; k < vps.size(); ++k) key[k] = row[vps[k]];
-    const std::uint64_t h = hash_row32(key.data(), key.size(), kMaskedRowSeed);
-    auto& b = bucket[h];
-    std::uint32_t label = UINT32_MAX;
-    for (const std::uint32_t gid : b) {
-      const auto rrow = matrix.row(rep[gid]);
-      bool eq = true;
-      for (std::size_t k = 0; k < vps.size(); ++k) {
-        if (rrow[vps[k]] != key[k]) {
-          eq = false;
-          break;
-        }
-      }
-      if (eq) {
-        label = gid;
-        break;
-      }
-    }
-    if (label == UINT32_MAX) {
-      label = static_cast<std::uint32_t>(rep.size());
-      rep.push_back(i);
-      b.push_back(label);
-    }
-    labels[i] = label;
-  }
-  return labels;
-}
-
-std::size_t masked_groups(const AtomSignatureMatrix& matrix,
-                          std::span<const std::uint32_t> vps) {
-  return count_of(masked_partition(matrix, vps));
-}
-
-std::uint64_t masked_partition_fingerprint(
-    const AtomSignatureMatrix& matrix, std::span<const std::uint32_t> vps) {
-  const auto labels = masked_partition(matrix, vps);
-  return hash_row32(labels.data(), labels.size(), kPartitionFingerprintSeed);
-}
-
-std::size_t refinement_gain(const AtomSignatureMatrix& matrix,
-                            std::span<const std::uint32_t> selected,
-                            std::uint32_t vp) {
-  check_columns(matrix, {&vp, 1});
-  const std::size_t n = matrix.num_prefixes();
-  if (n == 0) return 0;
-  const auto labels = masked_partition(matrix, selected);
-  const std::size_t groups = count_of(labels);
-  // Classes after adding `vp` = distinct (class, cell) pairs: the column
-  // splits a class once per extra distinct cell value inside it.
-  std::vector<std::uint64_t> keys(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    keys[i] =
-        (static_cast<std::uint64_t>(labels[i]) << 32) | matrix.cell(i, vp);
-  }
-  std::sort(keys.begin(), keys.end());
-  const std::size_t distinct = static_cast<std::size_t>(
-      std::unique(keys.begin(), keys.end()) - keys.begin());
-  return distinct - groups;
-}
 
 VpSelection select_vps(const AtomSignatureMatrix& matrix,
                        const VpSelectOptions& options) {
@@ -139,12 +42,13 @@ VpSelection select_vps(const AtomSignatureMatrix& matrix,
   VpSelection out;
   out.total_vps = num_vps;
 
-  // The selection target: the full (all-columns) partition.
-  std::vector<std::uint32_t> all(num_vps);
-  std::iota(all.begin(), all.end(), 0u);
-  const std::vector<std::uint32_t> full_labels = masked_partition(matrix, all);
-  out.full_groups = count_of(full_labels);
-  const std::uint64_t s_full = pairs_together(full_labels, out.full_groups);
+  // The selection target: the full (all-columns) partition, grouped by
+  // the atom kernels' row grouping on this thread.
+  std::uint64_t s_full = 0;
+  for (const auto& group : atoms_detail::group_rows(matrix, nullptr)) {
+    ++out.full_groups;
+    s_full += std::uint64_t{group.size()} * (group.size() - 1) / 2;
+  }
   const std::uint64_t all_pairs =
       n < 2 ? 0 : static_cast<std::uint64_t>(n) * (n - 1) / 2;
 
@@ -159,7 +63,8 @@ VpSelection select_vps(const AtomSignatureMatrix& matrix,
   };
   out.fidelity = fidelity_of(groups);
 
-  std::vector<std::uint32_t> remaining(all);
+  std::vector<std::uint32_t> remaining(num_vps);
+  std::iota(remaining.begin(), remaining.end(), 0u);
   TaskPool pool(n >= kParallelMinRows ? options.threads : 1);
 
   while (!remaining.empty() && out.fidelity < options.min_fidelity &&
@@ -249,7 +154,7 @@ VpSelection select_vps(const AtomSignatureMatrix& matrix,
   for (const auto& step : out.steps) out.vps.push_back(step.vp);
   std::sort(out.vps.begin(), out.vps.end());
   // The greedy relabeling kept `labels` canonical at every step, so this
-  // equals masked_partition_fingerprint(matrix, out.vps).
+  // equals partition_fingerprint(compute_atoms(...)) over out.vps.
   out.fingerprint = hash_row32(labels.data(), n, kPartitionFingerprintSeed);
   OBS_COUNT_N("vp_value.selected", out.steps.size());
   return out;

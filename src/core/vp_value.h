@@ -6,13 +6,17 @@
 // scores each VP by its *marginal partition refinement* — the number of
 // extra row-equality classes its column contributes beyond an already-
 // selected set — and greedily selects the fewest VPs that preserve a
-// target share of the full-VP atom partition.
+// target share of the full-VP atom partition (after Alfroy et al.,
+// "Measuring Internet Routing from the Most Valuable Points").
 //
 // Everything operates on partitions of the matrix's rows (= the
-// snapshot's retained prefixes). A masked partition (grouping rows on a
-// column subset) is always a *coarsening* of the full partition: adding a
-// column can only split classes, never merge them. That nesting gives
-// three exact fidelity metrics per step, each O(rows):
+// snapshot's retained prefixes). The full partition is the atom kernels'
+// own row grouping (atoms_detail::group_rows); the selected columns'
+// partition is kept as first-encounter labels and split by one chosen
+// column per step. A masked partition (grouping rows on a column subset)
+// is always a *coarsening* of the full partition: adding a column can
+// only split classes, never merge them. That nesting gives three exact
+// fidelity metrics per step, each O(rows):
 //   * fidelity        = masked classes / full classes (atoms preserved),
 //   * rand_index      = pairwise agreement with the full partition,
 //   * split_distance  = full classes - masked classes (the split-merge
@@ -24,15 +28,14 @@
 // the matrix's columns. Ties between candidate VPs are broken first by
 // gain (descending), then by lexicographic column content (ascending), so
 // column order only matters between byte-identical columns — which are
-// interchangeable by definition. Partition fingerprints use the
-// kPartitionFingerprintSeed encoding, so they compare equal against
-// partition_fingerprint(AtomSet) and IncrementalAtoms whenever the
-// partitions match. tests/test_vp_value.cpp pins all of this against a
-// brute-force exhaustive-subset oracle.
+// interchangeable by definition. The selection's fingerprint uses the
+// kPartitionFingerprintSeed encoding, so it equals
+// partition_fingerprint(compute_atoms(snapshot, {.vp_subset = vps})).
+// tests/test_vp_value.cpp pins all of this against a naive key-tuple
+// grouping over every column subset.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/atoms.h"
@@ -98,32 +101,6 @@ struct VpSelection {
   /// by construction.
   std::uint64_t fingerprint = 0;
 };
-
-/// Canonical labels of the partition induced by grouping rows on the
-/// columns in `vps` (any order, no duplicates; empty = zero columns, one
-/// class). Labels are first-encounter numbered: class k is the k-th
-/// distinct class met walking rows 0..n-1, the same canonical order the
-/// atom kernels and IncrementalAtoms::partition_fingerprint() use.
-std::vector<std::uint32_t> masked_partition(
-    const AtomSignatureMatrix& matrix, std::span<const std::uint32_t> vps);
-
-/// Number of classes of the masked partition (rows grouped on `vps`).
-std::size_t masked_groups(const AtomSignatureMatrix& matrix,
-                          std::span<const std::uint32_t> vps);
-
-/// O(rows) digest of the masked partition, kPartitionFingerprintSeed
-/// encoding: equal iff the partitions are equal, comparable against
-/// partition_fingerprint(AtomSet).
-std::uint64_t masked_partition_fingerprint(
-    const AtomSignatureMatrix& matrix, std::span<const std::uint32_t> vps);
-
-/// Marginal refinement of column `vp` beyond `selected`:
-/// masked_groups(selected + vp) - masked_groups(selected). This is the
-/// greedy selector's scoring function, exposed so the brute-force oracle
-/// test can pin it subset by subset.
-std::size_t refinement_gain(const AtomSignatureMatrix& matrix,
-                            std::span<const std::uint32_t> selected,
-                            std::uint32_t vp);
 
 /// Greedy VP selection: repeatedly add the column with the largest
 /// marginal refinement (ties: lexicographically smallest column content,

@@ -135,11 +135,13 @@ void Server::worker_loop() {
     if (ready <= 0) continue;  // timeout/EINTR: re-check stop_
     const int client = ::accept(listen_fd_, nullptr, nullptr);
     if (client < 0) continue;  // another worker won the race (EAGAIN)
-    // Blocking I/O with a receive timeout: a stalled client costs one
-    // worker at most poll_interval_ms per read before being dropped.
+    // Blocking I/O with receive and send timeouts: a stalled client
+    // costs its worker at most one second per read or write before being
+    // dropped, a client that stops reading its replies included.
     timeval tv{};
     tv.tv_sec = 1;
     ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    ::setsockopt(client, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
     OBS_COUNT("serve.connections");
     serve_connection(client);
     ::close(client);

@@ -21,7 +21,8 @@
 // more simultaneously-idle connections than workers starve accept; the
 // idle timeout bounds that, and the worker count is floored at 2 (the
 // loop is IO-bound, so this holds even on a single-core host where
-// resolve_threads would say 1).
+// resolve_threads would say 1). A client that stops reading its replies
+// is dropped once a write makes no progress for one second.
 #pragma once
 
 #include <atomic>

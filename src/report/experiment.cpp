@@ -110,8 +110,8 @@ const core::Campaign& Context::campaign(const core::CampaignConfig& config) {
 }
 
 std::vector<core::QuarterMetrics> Context::run_sweep(
-    std::vector<core::SweepJob> jobs) {
-  return core::run_sweep(jobs, pool_);
+    const std::vector<core::CampaignConfig>& configs) {
+  return core::run_sweep(configs, pool_);
 }
 
 void Context::note(std::string line) {

@@ -122,7 +122,8 @@ class Context {
   /// std::logic_error naming the experiment for an unplanned config.
   const core::Campaign& campaign(const core::CampaignConfig& config);
   /// Sweep over the shared pool (core::run_sweep; not cached).
-  std::vector<core::QuarterMetrics> run_sweep(std::vector<core::SweepJob> jobs);
+  std::vector<core::QuarterMetrics> run_sweep(
+      const std::vector<core::CampaignConfig>& configs);
 
   // -- result assembly -------------------------------------------------
   void note(std::string line);

@@ -68,9 +68,4 @@ bool GaoRexfordEngine::allow_import(const RouteSource& src,
   return !rov_->validating(node);
 }
 
-std::uint32_t GaoRexfordEngine::selection_rank(
-    const RouteSource& /*src*/, std::uint16_t /*source_index*/) const {
-  return 0;
-}
-
 }  // namespace bgpatoms::routing

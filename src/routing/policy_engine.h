@@ -1,20 +1,20 @@
-// Pluggable per-AS routing policy.
+// The routing policy the Propagator applies: Gao-Rexford export with the
+// per-unit policy knobs, ROV import filtering and route leaks.
 //
-// The Propagator's level-by-level drain consults a PolicyEngine for every
-// edge it relaxes, splitting the classic hardwired Gao-Rexford behaviour
-// into composable hooks:
+// The Propagator's level-by-level drain asks the GaoRexfordEngine about
+// every edge it relaxes:
 //
 //   * allow_export — may AS `from` export this source's route over an
 //     edge (valley-free export rule + per-unit policy knobs: restricted
 //     announcement, NO_EXPORT, transit rules, prepending),
 //   * allow_import — may the receiving AS accept the route (ROV drops
 //     invalid announcements at validating ASes here),
-//   * selection_rank — an extra selection key ordered directly after
-//     path preference and length (lower wins; a depref-style ROV policy
-//     ranks invalid sources worse instead of dropping them),
 //   * leakers — the transits that violate the valley-free export rule
 //     (route leak): the Propagator re-runs propagation with each leaker's
 //     learned route re-exported to its providers and peers.
+//
+// Best-path selection itself needs no hook: route class, then path
+// length, then the lowest next-hop ASN (routing/propagation.h).
 //
 // A route computation can have several sources (multi-origin prefixes:
 // MOAS, origin hijacks), each with its own origin, unit policy and ROV
@@ -39,51 +39,32 @@ struct RouteSource {
   bool rov_invalid = false;
 };
 
-class PolicyEngine {
- public:
-  virtual ~PolicyEngine() = default;
-
-  /// May `from` (holding `src`'s route; `from_is_origin` when it is the
-  /// route's origin itself) export over the edge to `to`? Sets `prepend`
-  /// to the number of extra ASN copies the hop adds.
-  virtual bool allow_export(const RouteSource& src, bool from_is_origin,
-                            topo::NodeId from, const topo::Neighbor& to,
-                            std::uint8_t& prepend) const = 0;
-
-  /// May `node` accept `src`'s route at all? Called before the candidate
-  /// enters best-path selection.
-  virtual bool allow_import(const RouteSource& src,
-                            topo::NodeId node) const = 0;
-
-  /// Extra selection key, compared after (route class, path length) and
-  /// before the deterministic neighbor tie-break; lower wins.
-  virtual std::uint32_t selection_rank(const RouteSource& src,
-                                       std::uint16_t source_index) const = 0;
-
-  /// The nodes that re-export learned routes in violation of the
-  /// valley-free rule (route leak); empty for a leak-free computation.
-  /// Read once per computation, so it costs nothing per node.
-  virtual std::span<const topo::NodeId> leakers() const = 0;
-};
-
-/// The standard model: Gao-Rexford export with the per-unit policy knobs,
-/// optional ROV dropping at validating ASes, optionally one leaking
-/// transit. A source that is not `rov_invalid` passes the import filter
-/// everywhere, so with no leaker its routes are plain Gao-Rexford.
-class GaoRexfordEngine final : public PolicyEngine {
+/// Gao-Rexford export with the per-unit policy knobs, optional ROV
+/// dropping at validating ASes, optionally one leaking transit. A source
+/// that is not `rov_invalid` passes the import filter everywhere, so with
+/// no leaker its routes are plain Gao-Rexford.
+class GaoRexfordEngine {
  public:
   explicit GaoRexfordEngine(const topo::AsGraph& graph,
                             const RovState* rov = nullptr,
                             topo::NodeId leaker = topo::kNoNode)
       : graph_(graph), rov_(rov), leaker_(leaker) {}
 
+  /// May `from` (holding `src`'s route; `from_is_origin` when it is the
+  /// route's origin itself) export over the edge to `to`? Sets `prepend`
+  /// to the number of extra ASN copies the hop adds.
   bool allow_export(const RouteSource& src, bool from_is_origin,
                     topo::NodeId from, const topo::Neighbor& to,
-                    std::uint8_t& prepend) const override;
-  bool allow_import(const RouteSource& src, topo::NodeId node) const override;
-  std::uint32_t selection_rank(const RouteSource& src,
-                               std::uint16_t source_index) const override;
-  std::span<const topo::NodeId> leakers() const override {
+                    std::uint8_t& prepend) const;
+
+  /// May `node` accept `src`'s route at all? Called before the candidate
+  /// enters best-path selection.
+  bool allow_import(const RouteSource& src, topo::NodeId node) const;
+
+  /// The nodes that re-export learned routes in violation of the
+  /// valley-free rule (route leak); empty for a leak-free computation.
+  /// Read once per computation, so it costs nothing per node.
+  std::span<const topo::NodeId> leakers() const {
     if (leaker_ == topo::kNoNode) return {};
     return {&leaker_, 1};
   }

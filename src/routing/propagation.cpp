@@ -93,7 +93,7 @@ void Propagator::compute(NodeId origin, const UnitPolicy* policy,
 }
 
 void Propagator::compute(std::span<const RouteSource> sources,
-                         const PolicyEngine& engine,
+                         const GaoRexfordEngine& engine,
                          std::span<const NodeId> targets, RouteTable& t) const {
   t.provider_settled_ = 0;
   // The leak pass reads each leaker's first-pass class and parent chain,
@@ -141,7 +141,7 @@ void Propagator::compute(std::span<const RouteSource> sources,
 }
 
 void Propagator::compute_pass(std::span<const RouteSource> sources,
-                              const PolicyEngine& engine,
+                              const GaoRexfordEngine& engine,
                               std::span<const PinnedEntry> pinned,
                               std::span<const topo::NodeId> leakers,
                               std::span<const topo::NodeId> targets,
@@ -198,9 +198,7 @@ void Propagator::compute_pass(std::span<const RouteSource> sources,
     if (!engine.allow_import(src, to.node)) return;
     const std::uint32_t d = t.dist[from] + 1 + prepend;
     if (d >= buckets.size()) buckets.resize(d + 1);
-    const std::uint64_t key =
-        (std::uint64_t{engine.selection_rank(src, si)} << 32) | asn_[from];
-    buckets[d].push_back(Candidate{key, to.node, from, prepend, si});
+    buckets[d].push_back(Candidate{asn_[from], to.node, from, prepend, si});
     top = std::max(top, d);
   };
   auto relax_all = [&](NodeId from, std::span<const Edge> entries) {

@@ -1,5 +1,5 @@
-// Valley-free (Gao-Rexford) best-path computation over a pluggable
-// per-AS policy engine.
+// Valley-free (Gao-Rexford) best-path computation under the
+// GaoRexfordEngine's per-AS policy (policy_engine.h).
 //
 // For one destination — a set of RouteSources announcing the same unit
 // (usually one origin; several for MOAS prefixes and origin hijacks) —
@@ -8,21 +8,20 @@
 //   * export: customer-learned routes go to everyone; peer/provider-learned
 //     routes go to customers only; sibling edges re-export everything,
 //   * selection: customer-learned > peer-learned > provider-learned, then
-//     shortest AS path (prepending included), then the engine's
-//     selection_rank, then lowest next-hop ASN.
+//     shortest AS path (prepending included), then lowest next-hop ASN.
 //
 // The computation runs in three phases (customer routes climbing provider
 // edges, a single peer-edge step, provider routes descending customer
 // edges). Each phase drains candidate routes level by level, one level
 // per prepend-weighted hop count: every node offered a route at level d
-// keeps the candidate with the lowest (selection_rank, next-hop ASN), the
-// whole level is finalized, and only then are its edges relaxed into the
-// levels above. This is exact: a hop adds 1 + prepend >= 1, so all of a
-// node's level-d candidates come from nodes finalized below d, and the
-// winner is the one a Dijkstra ordered by (distance, rank, next-hop ASN)
-// would finalize first. Every edge decision — export rule, import filter,
-// extra selection key — is delegated to a PolicyEngine (policy_engine.h),
-// so restricted announcement, NO_EXPORT, transit rules, prepending and
+// keeps the candidate with the lowest next-hop ASN, the whole level is
+// finalized, and only then are its edges relaxed into the levels above.
+// This is exact: a hop adds 1 + prepend >= 1, so all of a node's level-d
+// candidates come from nodes finalized below d, and the winner is the one
+// a Dijkstra ordered by (distance, next-hop ASN) would finalize first.
+// Every edge decision — export rule, import filter — is the engine's
+// (GaoRexfordEngine, policy_engine.h), so restricted announcement,
+// NO_EXPORT, transit rules, prepending and
 // ROV dropping are applied during relaxation and a policy change produces
 // exactly the path changes real BGP would converge to.
 //
@@ -50,8 +49,8 @@
 // from below; it records the reverse (down) entry of each, grouped by
 // the upper node, and the phase relaxes those recorded edges alone. The
 // relaxation order differs from a scan of whole neighbor lists, the
-// winners do not: at one level, equal (selection_rank, next-hop ASN)
-// keys mean the same parent, so equal-key candidates are identical.
+// winners do not: at one level, an equal next-hop ASN means the same
+// parent, so equal-key candidates are identical.
 //
 // Route leaks: when one of the engine's leakers is reachable, a
 // second pass re-runs propagation with the leaker's learned route
@@ -110,7 +109,7 @@ struct RouteTable {
 
   /// A route offered to `node` by its finalized neighbor `parent`.
   struct Candidate {
-    std::uint64_t key;  // selection_rank << 32 | parent ASN; lower wins
+    net::Asn key;  // parent ASN; lower wins
     topo::NodeId node;
     topo::NodeId parent;
     std::uint8_t prepend;
@@ -153,7 +152,7 @@ class Propagator {
   /// Reuses `out`'s storage, scratch included. Const and state-free:
   /// concurrent calls are safe with distinct `out` tables.
   void compute(std::span<const RouteSource> sources,
-               const PolicyEngine& engine,
+               const GaoRexfordEngine& engine,
                std::span<const topo::NodeId> targets, RouteTable& out) const;
 
   /// One-line form for tests: `origin` as the only source (nullptr =
@@ -217,7 +216,7 @@ class Propagator {
   /// (leak pass) are finalized up front; `leakers` additionally re-export
   /// to providers and peers.
   void compute_pass(std::span<const RouteSource> sources,
-                    const PolicyEngine& engine,
+                    const GaoRexfordEngine& engine,
                     std::span<const PinnedEntry> pinned,
                     std::span<const topo::NodeId> leakers,
                     std::span<const topo::NodeId> targets,

@@ -477,7 +477,7 @@ std::size_t Simulator::capture() {
   refresh_unit_paths();
 
   bgp::Snapshot snap;
-  snap.timestamp = opt_.base_time + now_;
+  snap.timestamp = now_;
   const auto& vps = topo_.vantage_points;
   const std::size_t n_vps = vps.size();
 
@@ -682,7 +682,7 @@ void Simulator::emit_updates(bgp::Timestamp duration) {
       std::min(0.30, 0.17 + 0.006 * std::max(0.0, p.year - 2004.0));
 
   std::vector<bgp::UpdateRecord> out;
-  const bgp::Timestamp t0 = opt_.base_time + now_;
+  const bgp::Timestamp t0 = now_;
 
   // Same-policy units of one origin are configured identically, so a
   // routing event hits all of them at once and the router packs their
@@ -978,8 +978,7 @@ void Simulator::emit_scenario_bursts(std::vector<bgp::UpdateRecord>& out,
     for (UnitId u : touched) before.push_back(unit_paths_[u]);
     refresh_unit_paths();
     for (std::size_t i = 0; i < touched.size(); ++i) {
-      diff_unit_updates(out, touched[i], before[i],
-                        opt_.base_time + tr.time);
+      diff_unit_updates(out, touched[i], before[i], tr.time);
     }
   }
   for (auto it = window.rbegin(); it != window.rend(); ++it) {

@@ -62,8 +62,6 @@ struct SimOptions {
   /// Ongoing split/merge events per day beyond the weekly schedule
   /// (<=0 uses 0; the daily-split experiments set this from the era).
   double daily_event_rate = 0.0;
-  /// Base wall-clock of the campaign (snapshot timestamps are base+now).
-  bgp::Timestamp base_time = 0;
   /// Scenario engine: scheduled hijacks/leaks plus ROV deployment. The
   /// default (everything off) is byte-identical to a simulator without
   /// the scenario engine; scenario randomness runs on a dedicated RNG

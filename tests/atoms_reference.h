@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -126,24 +125,6 @@ inline core::AtomSet compute_atoms_reference(
     dense.emplace(prefixes[i], i);
   }
 
-  // Optional method-(i) path rewrite: prepending collapsed before grouping.
-  std::shared_ptr<net::PathPool> stripped_pool;
-  if (options.strip_prepends_before_grouping) {
-    stripped_pool = std::make_shared<net::PathPool>();
-  }
-  std::vector<bgp::PathId> stripped_id;
-  auto effective_path = [&](bgp::PathId id) -> bgp::PathId {
-    if (!stripped_pool) return id;
-    if (stripped_id.size() < snapshot.paths.size()) {
-      stripped_id.resize(snapshot.paths.size(), UINT32_MAX);
-    }
-    if (stripped_id[id] == UINT32_MAX) {
-      stripped_id[id] =
-          stripped_pool->intern(snapshot.paths.get(id).stripped());
-    }
-    return stripped_id[id];
-  };
-
   // Signature accumulation in CSR form: one (vp, path) entry per record.
   // Entries per prefix arrive in ascending vp order because we iterate
   // tables in vp order.
@@ -169,7 +150,7 @@ inline core::AtomSet compute_atoms_reference(
       for (const auto& [prefix, path] : table_of(vp).routes) {
         const std::uint32_t idx = dense.at(prefix);
         entries[cursor[idx]++] =
-            (static_cast<std::uint64_t>(vp) << 32) | effective_path(path);
+            (static_cast<std::uint64_t>(vp) << 32) | path;
       }
     }
   }
@@ -252,7 +233,6 @@ inline core::AtomSet compute_atoms_reference(
   }
 
   // Finalize: per-atom paths, origin, MOAS flag, indexes.
-  out.own_pool = stripped_pool;
   OriginCache origin_of(out.paths());
   out.atom_of.reserve(n);
   for (std::uint32_t a = 0; a < out.atoms.size(); ++a) {

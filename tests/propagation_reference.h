@@ -2,8 +2,8 @@
 // test_propagation.cpp: the binary-heap implementation Propagator::compute
 // once was, kept as the oracle the level-by-level bucket drain is compared
 // against. Each phase is a Dijkstra over prepend-weighted hop counts that
-// pops one candidate at a time in (dist, selection_rank, next-hop ASN)
-// order and lazily skips nodes finalized earlier. It fills only the public
+// pops one candidate at a time in (dist, next-hop ASN) order and lazily
+// skips nodes finalized earlier. It fills only the public
 // RouteTable fields.
 #pragma once
 
@@ -19,7 +19,7 @@ namespace bgpatoms::test {
 
 namespace reference_detail {
 
-using routing::PolicyEngine;
+using routing::GaoRexfordEngine;
 using routing::RouteClass;
 using routing::RouteSource;
 using routing::RouteTable;
@@ -31,7 +31,6 @@ using topo::Rel;
 
 struct QueueEntry {
   std::uint32_t dist;
-  std::uint32_t rank;   // engine selection_rank (0 for the default)
   net::Asn parent_asn;  // deterministic tie-break
   NodeId node;
   NodeId parent;
@@ -40,7 +39,6 @@ struct QueueEntry {
 
   friend bool operator>(const QueueEntry& a, const QueueEntry& b) {
     if (a.dist != b.dist) return a.dist > b.dist;
-    if (a.rank != b.rank) return a.rank > b.rank;
     if (a.parent_asn != b.parent_asn) return a.parent_asn > b.parent_asn;
     return a.node > b.node;
   }
@@ -58,7 +56,7 @@ struct PinnedEntry {
 
 inline void compute_pass(const AsGraph& graph,
                          std::span<const RouteSource> sources,
-                         const PolicyEngine& engine,
+                         const GaoRexfordEngine& engine,
                          std::span<const PinnedEntry> pinned,
                          std::span<const NodeId> leakers, RouteTable& t) {
   const std::size_t n = graph.size();
@@ -104,8 +102,7 @@ inline void compute_pass(const AsGraph& graph,
     }
     if (!engine.allow_import(src, to.node)) return;
     const std::uint32_t d = t.dist[from] + 1 + prepend;
-    pq.push(QueueEntry{d, engine.selection_rank(src, si),
-                       graph.node(from).asn, to.node, from, prepend, si});
+    pq.push(QueueEntry{d, graph.node(from).asn, to.node, from, prepend, si});
   };
 
   // Runs one Dijkstra phase: nodes popped get `assign_cls`; the popped
@@ -192,7 +189,7 @@ inline void compute_pass(const AsGraph& graph,
 /// table).
 inline void reference_compute(const topo::AsGraph& graph,
                               std::span<const routing::RouteSource> sources,
-                              const routing::PolicyEngine& engine,
+                              const routing::GaoRexfordEngine& engine,
                               routing::RouteTable& t) {
   using reference_detail::PinnedEntry;
   using routing::RouteClass;

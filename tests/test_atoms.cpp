@@ -51,21 +51,6 @@ TEST(Atoms, PrependingDifferenceSplits) {
   EXPECT_EQ(compute_atoms(snap).atoms.size(), 2u);
 }
 
-TEST(Atoms, MethodIStripsPrependingBeforeGrouping) {
-  DatasetBuilder b;
-  b.peer(100).route("10.0.0.0/16", "100 1").route("10.1.0.0/16", "100 1 1");
-  const auto snap = sanitize(b.dataset(), 0, test::lax_config());
-  AtomOptions options;
-  options.strip_prepends_before_grouping = true;
-  const auto atoms = compute_atoms(snap, options);
-  EXPECT_EQ(atoms.atoms.size(), 1u);  // indistinguishable after stripping
-  // The atom set owns its own (stripped) path pool.
-  ASSERT_TRUE(atoms.own_pool != nullptr);
-  for (const auto& [vp, path] : atoms.atoms[0].paths) {
-    EXPECT_EQ(atoms.paths().get(path).stripped(), atoms.paths().get(path));
-  }
-}
-
 TEST(Atoms, DifferentOriginsNeverShareAtom) {
   DatasetBuilder b;
   b.peer(100).route("10.0.0.0/16", "100 1").route("10.1.0.0/16", "100 2");

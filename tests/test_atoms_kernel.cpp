@@ -3,9 +3,10 @@
 // compute_atoms() (SoA matrix kernel) must reproduce
 // compute_atoms_reference() (the historical CSR kernel, kept in
 // atoms_reference.h) field-for-field — atom order, member order, per-VP
-// paths, origin/MOAS flags, indexes and the method-(i) rewrite pool — for
-// every snapshot shape and any thread count. These tests pin that
-// contract on the edge cases the rewrite must preserve.
+// paths, origin/MOAS flags and indexes — for every snapshot shape and any
+// thread count. These tests pin that contract on the edge cases the
+// rewrite must preserve; atoms_detail::group_rows, compute_atoms' row
+// grouping, is the kernel IncrementalAtoms and select_vps share.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,30 +30,19 @@ void expect_identical(const AtomSet& a, const AtomSet& b) {
   EXPECT_EQ(a.atoms, b.atoms);
   EXPECT_EQ(a.atom_of, b.atom_of);
   EXPECT_EQ(a.atoms_by_origin, b.atoms_by_origin);
-  ASSERT_EQ(a.own_pool != nullptr, b.own_pool != nullptr);
-  if (a.own_pool) {
-    // The method-(i) rewrite pools must intern in the same order.
-    ASSERT_EQ(a.own_pool->size(), b.own_pool->size());
-    for (std::size_t i = 0; i < a.own_pool->size(); ++i) {
-      EXPECT_EQ(a.own_pool->get(static_cast<bgp::PathId>(i)),
-                b.own_pool->get(static_cast<bgp::PathId>(i)));
-    }
-  }
+  EXPECT_EQ(a.own_pool, nullptr);
+  EXPECT_EQ(b.own_pool, nullptr);
 }
 
 /// Runs both kernels over `snap` at thread counts {1, 2, 8} and asserts
 /// every pairing is identical.
-void expect_kernels_agree(const SanitizedSnapshot& snap,
-                          bool strip_prepends = false) {
-  AtomOptions base;
-  base.strip_prepends_before_grouping = strip_prepends;
-
-  AtomOptions ref = base;
+void expect_kernels_agree(const SanitizedSnapshot& snap) {
+  AtomOptions ref;
   ref.threads = 1;
   const AtomSet oracle = compute_atoms_reference(snap, ref);
 
   for (int threads : {1, 2, 8}) {
-    AtomOptions opt = base;
+    AtomOptions opt;
     opt.threads = threads;
     expect_identical(compute_atoms(snap, opt), oracle);
     expect_identical(compute_atoms_reference(snap, opt), oracle);
@@ -110,22 +100,6 @@ TEST(AtomsKernel, AbsencePatternsSplit) {
   EXPECT_EQ(compute_atoms(snap).atoms.size(), 3u);
 }
 
-TEST(AtomsKernel, StripPrependsBeforeGrouping) {
-  DatasetBuilder b;
-  b.peer(100)
-      .route("10.0.0.0/16", "100 1")
-      .route("10.1.0.0/16", "100 1 1")
-      .route("10.2.0.0/16", "100 2 2 1")
-      .route("10.3.0.0/16", "100 2 1");
-  const auto snap = sanitize(b.dataset(), 0, test::lax_config());
-  expect_kernels_agree(snap, /*strip_prepends=*/true);
-  AtomOptions options;
-  options.strip_prepends_before_grouping = true;
-  const auto atoms = compute_atoms(snap, options);
-  EXPECT_EQ(atoms.atoms.size(), 2u);  // {10.0, 10.1} and {10.2, 10.3}
-  ASSERT_TRUE(atoms.own_pool != nullptr);
-}
-
 TEST(AtomsKernel, LargeSnapshotAboveParallelGate) {
   // Enough prefixes to cross the 4096-prefix parallel gate so the
   // sharded paths of both kernels actually run multi-threaded.
@@ -148,7 +122,6 @@ TEST(AtomsKernel, LargeSnapshotAboveParallelGate) {
   const auto snap = sanitize(b.dataset(), 0, test::lax_config());
   ASSERT_GE(snap.prefixes.size(), 4096u);
   expect_kernels_agree(snap);
-  expect_kernels_agree(snap, /*strip_prepends=*/true);
 }
 
 // ------------------------------------------------------- masked grouping
@@ -201,26 +174,22 @@ TEST(AtomsKernel, MaskedSubsetEqualsPhysicallyDroppedColumns) {
   ASSERT_EQ(full.vps[0].peer.asn, 100u);
   ASSERT_EQ(full.vps[1].peer.asn, 300u);
 
-  for (const bool strip : {false, true}) {
-    for (const int threads : {1, 2, 8}) {
-      AtomOptions masked;
-      masked.vp_subset = {0, 1};
-      masked.strip_prepends_before_grouping = strip;
-      masked.threads = threads;
-      AtomOptions plain;
-      plain.strip_prepends_before_grouping = strip;
-      plain.threads = threads;
+  for (const int threads : {1, 2, 8}) {
+    AtomOptions masked;
+    masked.vp_subset = {0, 1};
+    masked.threads = threads;
+    AtomOptions plain;
+    plain.threads = threads;
 
-      // SoA and reference kernels, each against the physically dropped
-      // snapshot run through the same kernel.
-      expect_identical(compute_atoms(full, masked),
-                       compute_atoms(dropped, plain));
-      expect_identical(compute_atoms_reference(full, masked),
-                       compute_atoms_reference(dropped, plain));
-      // And the two masked kernels against each other.
-      expect_identical(compute_atoms(full, masked),
-                       compute_atoms_reference(full, masked));
-    }
+    // SoA and reference kernels, each against the physically dropped
+    // snapshot run through the same kernel.
+    expect_identical(compute_atoms(full, masked),
+                     compute_atoms(dropped, plain));
+    expect_identical(compute_atoms_reference(full, masked),
+                     compute_atoms_reference(dropped, plain));
+    // And the two masked kernels against each other.
+    expect_identical(compute_atoms(full, masked),
+                     compute_atoms_reference(full, masked));
   }
 }
 
@@ -297,7 +266,6 @@ TEST(AtomSignatureMatrixTest, DimensionsAndCells) {
 
   ASSERT_EQ(m.num_prefixes(), 2u);
   ASSERT_EQ(m.num_vps(), 2u);
-  EXPECT_EQ(m.stripped_pool(), nullptr);
 
   // Row i follows snapshot.prefixes order; cells follow VP order.
   for (std::size_t p = 0; p < m.num_prefixes(); ++p) {
@@ -317,20 +285,6 @@ TEST(AtomSignatureMatrixTest, DimensionsAndCells) {
   }
   // 10.1/16 is absent at VP 1 — the one sentinel cell in this snapshot.
   EXPECT_EQ(m.cell(1, 1), AtomSignatureMatrix::kAbsent);
-}
-
-TEST(AtomSignatureMatrixTest, StripPrependsOwnsRewritePool) {
-  DatasetBuilder b;
-  b.peer(100).route("10.0.0.0/16", "100 1").route("10.1.0.0/16", "100 1 1");
-  const auto snap = sanitize(b.dataset(), 0, test::lax_config());
-  AtomOptions options;
-  options.strip_prepends_before_grouping = true;
-  const auto m = AtomSignatureMatrix::build(snap, options);
-  ASSERT_TRUE(m.stripped_pool() != nullptr);
-  // Both routes collapse to the same stripped path: identical cells.
-  EXPECT_EQ(m.cell(0, 0), m.cell(1, 0));
-  const auto id = AtomSignatureMatrix::path_of(m.cell(0, 0));
-  EXPECT_EQ(m.stripped_pool()->get(id).to_string(), "100 1");
 }
 
 // ------------------------------------------------------- packing limits

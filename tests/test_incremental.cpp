@@ -34,7 +34,7 @@ using test::DatasetBuilder;
 /// rebuilt snapshot carries the same evolving pool the live set snapshots.)
 void expect_matches_recompute(IncrementalAtoms& inc) {
   const AtomSet live = inc.atoms();
-  const std::uint64_t live_fp = inc.partition_fingerprint();
+  const std::uint64_t live_fp = partition_fingerprint(live);
   const SanitizedSnapshot rebuilt = inc.rebuild_snapshot();
   for (int threads : {1, 2, 8}) {
     AtomOptions opt;
@@ -48,7 +48,7 @@ void expect_matches_recompute(IncrementalAtoms& inc) {
   }
 }
 
-/// Cheap per-boundary identity probe (no atom bodies materialized).
+/// The recompute oracle's partition digest at one boundary.
 std::uint64_t recompute_fingerprint(const IncrementalAtoms& inc) {
   const SanitizedSnapshot rebuilt = inc.rebuild_snapshot();
   return partition_fingerprint(compute_atoms(rebuilt));
@@ -103,7 +103,7 @@ TEST(IncrementalAtoms, SeedMatchesBatchKernels) {
   EXPECT_EQ(inc.counters().merges, 0u);
   // And the seed partition digests equal to the batch one.
   const AtomSet batch = compute_atoms(snap);
-  EXPECT_EQ(inc.partition_fingerprint(), partition_fingerprint(batch));
+  EXPECT_EQ(partition_fingerprint(inc.atoms()), partition_fingerprint(batch));
 }
 
 TEST(IncrementalAtoms, BitIdenticalAtEveryBoundaryForAnyChunking) {
@@ -122,12 +122,13 @@ TEST(IncrementalAtoms, BitIdenticalAtEveryBoundaryForAnyChunking) {
       inc.apply(span);
       // Every chunk boundary is a snapshot boundary: the maintained
       // partition must equal a full recompute right here.
-      EXPECT_EQ(inc.partition_fingerprint(), recompute_fingerprint(inc))
+      EXPECT_EQ(partition_fingerprint(inc.atoms()),
+                recompute_fingerprint(inc))
           << "chunk size " << chunk;
     }
     EXPECT_EQ(inc.counters().records, ds.updates.size());
     expect_matches_recompute(inc);
-    final_fp.push_back(inc.partition_fingerprint());
+    final_fp.push_back(partition_fingerprint(inc.atoms()));
   }
   for (const std::uint64_t fp : final_fp) EXPECT_EQ(fp, final_fp.front());
 }
@@ -149,7 +150,7 @@ TEST(IncrementalAtoms, CountersIndependentOfChunkingAndThreads) {
       view.set_chunk_size(chunk);
       IncrementalAtoms inc(snap, ds.paths, opt);
       inc.consume(view);
-      (void)inc.partition_fingerprint();  // the one flush
+      (void)partition_fingerprint(inc.atoms());  // the one flush
       all.push_back(inc.counters());
     }
   }
@@ -169,7 +170,7 @@ TEST(IncrementalAtoms, SplitThenRemerge) {
   const auto& ds = b.dataset();
   const auto snap = sanitize(ds, 0, test::lax_config());
   IncrementalAtoms inc(snap, ds.paths);
-  const std::uint64_t seed_fp = inc.partition_fingerprint();
+  const std::uint64_t seed_fp = partition_fingerprint(inc.atoms());
   ASSERT_EQ(inc.atoms().atoms.size(), 1u);  // {10.0, 10.1} share signatures
 
   // Re-route 10.0.0.0/16 at peer 100: the size-2 class splits.
@@ -181,7 +182,7 @@ TEST(IncrementalAtoms, SplitThenRemerge) {
   split.announced.push_back(
       b.dataset().prefixes.intern(*net::Prefix::parse("10.0.0.0/16")));
   inc.apply(std::span<const bgp::UpdateRecord>(&split, 1));
-  EXPECT_NE(inc.partition_fingerprint(), seed_fp);
+  EXPECT_NE(partition_fingerprint(inc.atoms()), seed_fp);
   EXPECT_EQ(inc.atoms().atoms.size(), 2u);
   EXPECT_EQ(inc.counters().splits, 1u);
   EXPECT_EQ(inc.counters().merges, 0u);
@@ -193,7 +194,7 @@ TEST(IncrementalAtoms, SplitThenRemerge) {
   restore.timestamp = 20;
   restore.path = b.dataset().paths.intern(*net::AsPath::parse("100 1"));
   inc.apply(std::span<const bgp::UpdateRecord>(&restore, 1));
-  EXPECT_EQ(inc.partition_fingerprint(), seed_fp);
+  EXPECT_EQ(partition_fingerprint(inc.atoms()), seed_fp);
   EXPECT_EQ(inc.atoms().atoms.size(), 1u);
   EXPECT_EQ(inc.counters().merges, 1u);
   expect_matches_recompute(inc);
@@ -214,13 +215,13 @@ TEST(IncrementalAtoms, WithdrawAndReannounceInOneRecordNetsToAnnouncement) {
   const auto snap = sanitize(ds, 0, test::lax_config());
 
   IncrementalAtoms inc(snap, ds.paths);
-  const std::uint64_t seed_fp = inc.partition_fingerprint();
+  const std::uint64_t seed_fp = partition_fingerprint(inc.atoms());
   inc.apply(std::span<const bgp::UpdateRecord>(ds.updates.data(), 1));
-  EXPECT_EQ(inc.partition_fingerprint(), seed_fp);
+  EXPECT_EQ(partition_fingerprint(inc.atoms()), seed_fp);
   expect_matches_recompute(inc);
 
   inc.apply(std::span<const bgp::UpdateRecord>(ds.updates.data() + 1, 1));
-  EXPECT_NE(inc.partition_fingerprint(), seed_fp);
+  EXPECT_NE(partition_fingerprint(inc.atoms()), seed_fp);
   const SanitizedSnapshot rebuilt = inc.rebuild_snapshot();
   const bgp::PathId p = rebuilt.vps[0].path_for(
       b.dataset().prefixes.intern(*net::Prefix::parse("10.0.0.0/16")));
@@ -239,14 +240,14 @@ TEST(IncrementalAtoms, IgnoresUnknownPeersPrefixesAndDroppedPaths) {
   const auto snap = sanitize(ds, 0, test::lax_config());
 
   IncrementalAtoms inc(snap, ds.paths);
-  const std::uint64_t seed_fp = inc.partition_fingerprint();
+  const std::uint64_t seed_fp = partition_fingerprint(inc.atoms());
   bgp::DatasetView view(ds);
   inc.consume(view);
   // All three records are consumed but none touches a cell — the same
   // records sanitize would have dropped from a captured table.
   EXPECT_EQ(inc.counters().records, 3u);
   EXPECT_EQ(inc.counters().cell_writes, 0u);
-  EXPECT_EQ(inc.partition_fingerprint(), seed_fp);
+  EXPECT_EQ(partition_fingerprint(inc.atoms()), seed_fp);
   expect_matches_recompute(inc);
 }
 
@@ -310,16 +311,6 @@ TEST(IncrementalAtoms, UpdatePeerIndicesSurviveSanitizePeerRemoval) {
   EXPECT_EQ(rebuilt.paths.get(rebuilt.vps[0].path_for(prefix)).to_string(),
             "200 1");
   expect_matches_recompute(inc);
-}
-
-TEST(IncrementalAtoms, StripPrependsModeIsRejected) {
-  DatasetBuilder b;
-  b.peer(100).route("10.0.0.0/16", "100 100 1");
-  const auto snap = sanitize(b.dataset(), 0, test::lax_config());
-  AtomOptions opt;
-  opt.strip_prepends_before_grouping = true;
-  EXPECT_THROW(IncrementalAtoms(snap, b.dataset().paths, opt),
-               std::invalid_argument);
 }
 
 TEST(DatasetView, ConfigurableChunkSize) {

@@ -134,7 +134,9 @@ TEST(Integration, CampaignDeterminism) {
 }
 
 TEST(Integration, RunQuarterProducesTrendMetrics) {
-  const QuarterMetrics m = run_quarter(net::Family::kIPv4, 2008.0, 0.008, 2);
+  const QuarterMetrics m = quarter_metrics(
+      run_campaign(quarter_config(net::Family::kIPv4, 2008.0, 0.008, 2)),
+      2008.0);
   EXPECT_EQ(m.year, 2008.0);
   double sum = 0;
   for (int d = 1; d <= 5; ++d) sum += m.formed_at[d];

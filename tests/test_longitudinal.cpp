@@ -10,12 +10,19 @@
 namespace bgpatoms::core {
 namespace {
 
-std::vector<SweepJob> small_jobs() {
-  std::vector<SweepJob> jobs;
+std::vector<CampaignConfig> small_jobs() {
+  std::vector<CampaignConfig> jobs;
   for (int q = 0; q < 4; ++q)
-    jobs.push_back(quarter_job(net::Family::kIPv4, 2006.0 + 2.0 * q, 0.005,
-                               100 + q));
+    jobs.push_back(quarter_config(net::Family::kIPv4, 2006.0 + 2.0 * q, 0.005,
+                                  100 + q));
   return jobs;
+}
+
+/// One quarter at reduced scale, run on this thread.
+QuarterMetrics one_quarter(double year, double scale, std::uint64_t seed) {
+  return quarter_metrics(
+      run_campaign(quarter_config(net::Family::kIPv4, year, scale, seed)),
+      year);
 }
 
 TEST(RunSweep, BitIdenticalAcrossThreadCounts) {
@@ -38,16 +45,16 @@ TEST(RunSweep, MatchesSequentialRunQuarter) {
   const auto metrics = run_sweep(jobs, pool);
   ASSERT_EQ(metrics.size(), jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const auto& c = jobs[i].config;
-    EXPECT_EQ(metrics[i], run_quarter(c.family, c.year, c.scale, c.seed))
+    const CampaignConfig& c = jobs[i];
+    EXPECT_EQ(metrics[i], quarter_metrics(run_campaign(c), c.year))
         << "job " << i;
   }
 }
 
 TEST(QuarterMetricsTest, TwentyFourHourStabilityPopulated) {
-  // Regression: run_quarter used to drop the 24h window — cam_24h/mpm_24h
-  // stayed 0 even though the campaign captured the +24h snapshot.
-  const QuarterMetrics m = run_quarter(net::Family::kIPv4, 2008.0, 0.008, 2);
+  // Regression: a quarter's metrics used to drop the 24h window — cam_24h
+  // and mpm_24h stayed 0 though the campaign captured the +24h snapshot.
+  const QuarterMetrics m = one_quarter(2008.0, 0.008, 2);
   EXPECT_GT(m.cam_24h, 0.0);
   EXPECT_GT(m.mpm_24h, 0.0);
   EXPECT_GE(m.mpm_24h, m.cam_24h);
@@ -57,7 +64,7 @@ TEST(QuarterMetricsTest, TwentyFourHourStabilityPopulated) {
 }
 
 TEST(QuarterMetricsTest, DataQualitySharesPopulated) {
-  const QuarterMetrics m = run_quarter(net::Family::kIPv4, 2012.0, 0.008, 3);
+  const QuarterMetrics m = one_quarter(2012.0, 0.008, 3);
   EXPECT_GT(m.peers_in, 0u);
   EXPECT_GE(m.peers_in, m.full_feed_peers);
   EXPECT_GE(m.asset_path_share, 0.0);

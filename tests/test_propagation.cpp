@@ -514,7 +514,7 @@ TEST(Propagation, MatchesReferenceOnGeneratedTopologies) {
     // whole table must match), then the vantage points plus a random ~5%
     // of the nodes (the targets and their parent chains must match).
     auto check = [&](std::span<const RouteSource> sources,
-                     const PolicyEngine& engine, const char* what,
+                     const GaoRexfordEngine& engine, const char* what,
                      std::size_t u) {
       if (HasFatalFailure()) return;  // report the first mismatch only
       test::reference_compute(g, sources, engine, want);

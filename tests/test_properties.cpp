@@ -131,18 +131,6 @@ TEST_P(SeedSweep, FormationDistancesWellFormed) {
   EXPECT_EQ(all_total, atoms.as_count());
 }
 
-TEST_P(SeedSweep, MethodIProducesNoMoreAtomsThanRaw) {
-  // Stripping prepending before grouping can only merge atoms.
-  auto sim = make_sim(GetParam());
-  sim.capture();
-  const auto snap = sanitize(sim.dataset(), 0);
-  const auto raw = compute_atoms(snap);
-  AtomOptions options;
-  options.strip_prepends_before_grouping = true;
-  const auto stripped = compute_atoms(snap, options);
-  EXPECT_LE(stripped.atoms.size(), raw.atoms.size());
-}
-
 TEST_P(SeedSweep, ArchiveRoundTripPreservesEverything) {
   auto sim = make_sim(GetParam());
   sim.capture();

@@ -192,48 +192,6 @@ TEST(Scenario, RouteLeakReExportsToProviders) {
   EXPECT_EQ(t.cls[leaker], RouteClass::kProvider);
 }
 
-TEST(Scenario, SelectionRankBreaksTiesBeforeNeighborAsn) {
-  // v is the provider of both origins: two customer routes of equal
-  // length. The default tie-break picks the lower neighbor ASN (o1); a
-  // rank that prefers source 1 overrides it.
-  GraphBuilder b;
-  const NodeId o1 = b.add(10), o2 = b.add(20), v = b.add(30, Tier::kTransit);
-  b.provider(o1, v);
-  b.provider(o2, v);
-
-  class PreferSecond final : public PolicyEngine {
-   public:
-    explicit PreferSecond(const AsGraph& g) : base_(g) {}
-    bool allow_export(const RouteSource& src, bool from_is_origin,
-                      NodeId from, const topo::Neighbor& to,
-                      std::uint8_t& prepend) const override {
-      return base_.allow_export(src, from_is_origin, from, to, prepend);
-    }
-    bool allow_import(const RouteSource& src, NodeId node) const override {
-      return base_.allow_import(src, node);
-    }
-    std::uint32_t selection_rank(const RouteSource&,
-                                 std::uint16_t source_index) const override {
-      return source_index == 1 ? 0 : 1;
-    }
-    std::span<const NodeId> leakers() const override {
-      return base_.leakers();
-    }
-
-   private:
-    GaoRexfordEngine base_;
-  };
-
-  Propagator prop(b.g);
-  const std::vector<RouteSource> sources{{o1, nullptr, false},
-                                         {o2, nullptr, false}};
-  RouteTable t;
-  prop.compute(sources, GaoRexfordEngine(b.g), every_node(b.g), t);
-  EXPECT_EQ(t.source[v], 0) << "default tie-break: lower neighbor ASN";
-  prop.compute(sources, PreferSecond(b.g), every_node(b.g), t);
-  EXPECT_EQ(t.source[v], 1) << "rank outranks the neighbor-ASN tie-break";
-}
-
 // --- era anchors -----------------------------------------------------------
 
 TEST(Scenario, EraSecurityAnchorsFollowDeployment) {

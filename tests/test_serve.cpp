@@ -4,15 +4,18 @@
 // (serve_reference.h) on seeded random and mutated requests, and a live
 // Server on an ephemeral loopback port — framed requests for each query
 // type, the HTTP /metrics document validated against bgpatoms-trace/1,
-// idle persistence, and a clean shutdown-op exit. The socket smoke runs
+// idle persistence, clients that never read their replies, and a clean
+// shutdown-op exit. The socket smoke runs
 // under the serve_smoke ctest label (tools/ci_check.sh), the worker loop
 // under tsan, and the whole suite under asan_smoke.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstring>
 #include <memory>
 #include <random>
@@ -457,8 +460,16 @@ TEST(ServeState, MetricsDocumentValidatesAsTrace) {
 /// Minimal blocking loopback client for the framed protocol.
 class Client {
  public:
-  explicit Client(int port) {
+  /// `buffer_bytes` > 0 sets this socket's own receive and send buffer
+  /// sizes before connecting.
+  explicit Client(int port, int buffer_bytes = 0) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (buffer_bytes > 0) {
+      ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &buffer_bytes,
+                   sizeof buffer_bytes);
+      ::setsockopt(fd_, SOL_SOCKET, SO_SNDBUF, &buffer_bytes,
+                   sizeof buffer_bytes);
+    }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -479,6 +490,11 @@ class Client {
   /// Sends one framed request and decodes the framed JSON reply.
   Value ask(const std::string& request) {
     send_raw(frame(request));
+    return read_reply();
+  }
+
+  /// Decodes the next framed JSON reply.
+  Value read_reply() {
     unsigned char head[4];
     read_exact(head, 4);
     const std::size_t n = static_cast<std::size_t>(head[0]) |
@@ -488,6 +504,31 @@ class Client {
     std::string body(n, '\0');
     read_exact(body.data(), n);
     return Value::parse(body);
+  }
+
+  /// True once reply bytes are waiting, false after `ms` without any.
+  bool readable_within(int ms) {
+    pollfd pfd{fd_, POLLIN, 0};
+    return ::poll(&pfd, 1, ms) == 1;
+  }
+
+  /// Sends `frames` over and over and reads nothing, until the connection
+  /// takes no more bytes for 200 ms: the server has stopped reading it.
+  void flood(const std::string& frames) {
+    std::size_t off = 0;
+    for (;;) {
+      const ssize_t sent = ::send(fd_, frames.data() + off, frames.size() - off,
+                                  MSG_DONTWAIT | MSG_NOSIGNAL);
+      if (sent > 0) {
+        off = (off + static_cast<std::size_t>(sent)) % frames.size();
+        continue;
+      }
+      // Any other error: the server dropped the connection, so it does
+      // not read it either.
+      if (errno != EAGAIN && errno != EWOULDBLOCK) return;
+      pollfd pfd{fd_, POLLOUT, 0};
+      if (::poll(&pfd, 1, 200) == 0) return;
+    }
   }
 
   /// Reads until EOF (the /metrics HTTP path closes after one response).
@@ -598,6 +639,42 @@ TEST(Server, OversizedFrameDropsTheConnectionOnly) {
     EXPECT_TRUE(ok(fine.ask(R"({"op":"stats"})")));
     EXPECT_TRUE(ok(fine.ask(R"({"op":"shutdown"})")));
   }
+  serving.join();
+}
+
+TEST(Server, SlowReadersDoNotStarveOtherClients) {
+  // A client that queues requests and never reads the replies leaves its
+  // worker blocked in send() once the socket buffers fill. With one such
+  // client per worker, a third client is answered only if a stalled send
+  // times out and drops its connection.
+  const ServeState state = make_state();
+  ServerOptions options;
+  options.threads = 2;
+  options.poll_interval_ms = 50;
+  Server server(state, options);
+  std::thread serving([&] { server.run(); });
+
+  std::string requests;
+  for (int i = 0; i < 64; ++i) {
+    requests += frame(R"({"op":"history","q":"10.2.0.9"})");
+  }
+  std::vector<std::unique_ptr<Client>> slow;
+  for (int i = 0; i < options.threads; ++i) {
+    // 4 KB buffers: the stall comes after a few kilobytes.
+    slow.push_back(std::make_unique<Client>(server.port(), 4096));
+    ASSERT_TRUE(slow.back()->connected());
+    slow.back()->flood(requests);
+  }
+
+  Client third(server.port());
+  ASSERT_TRUE(third.connected());
+  third.send_raw(frame(R"({"op":"stats"})"));
+  EXPECT_TRUE(third.readable_within(5000))
+      << "no reply in 5 s: the slow readers hold every worker";
+
+  slow.clear();  // frees any worker still blocked on a slow reader
+  EXPECT_TRUE(ok(third.read_reply()));
+  EXPECT_TRUE(ok(third.ask(R"({"op":"shutdown"})")));
   serving.join();
 }
 

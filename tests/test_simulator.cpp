@@ -412,13 +412,5 @@ TEST(Simulator, CaptureAfterSplitsPropagatesOnlyTheNewUnits) {
   EXPECT_LE(sim.propagations() - before, split_off);
 }
 
-TEST(Simulator, BaseTimeOffsetsTimestamps) {
-  SimOptions opt;
-  opt.base_time = 1'600'000'000;
-  auto sim = make_sim(2012.0, 0.02, 5, opt);
-  sim.capture();
-  EXPECT_EQ(sim.dataset().snapshots[0].timestamp, 1'600'000'000);
-}
-
 }  // namespace
 }  // namespace bgpatoms::routing

@@ -66,9 +66,10 @@ void run_workload(int threads, const std::string& archive_path) {
                 [&archive_path](Context& ctx) {
                   ctx.campaign(small_campaign());
                   ctx.run_sweep(
-                      {core::quarter_job(net::Family::kIPv4, 2010.0, 0.01, 7),
-                       core::quarter_job(net::Family::kIPv4, 2010.25, 0.01,
-                                         7)});
+                      {core::quarter_config(net::Family::kIPv4, 2010.0, 0.01,
+                                            7),
+                       core::quarter_config(net::Family::kIPv4, 2010.25, 0.01,
+                                            7)});
                   core::AnalysisConfig config;
                   config.atoms.threads = ctx.threads();
                   config.with_stability = true;

@@ -1,8 +1,9 @@
 // core::VpValue: the selection math is pinned against brute force.
 //
-// masked_partition / refinement_gain are verified subset-by-subset
+// compute_atoms' column-masked partition is verified subset-by-subset
 // against a naive per-row key grouping (exhaustive over every column
-// subset of a small matrix), and select_vps' determinism contract is
+// subset of a small matrix), select_vps' gains and argmax step by step
+// against the same grouping, and select_vps' determinism contract is
 // pinned three ways: bit-identical across thread counts, invariant under
 // column permutation (gains, fidelity curve, fingerprint, selected
 // column *contents* — indices may differ only between byte-identical
@@ -67,6 +68,30 @@ std::size_t naive_groups(const AtomSignatureMatrix& m,
   return m.num_prefixes() == 0 ? 0 : keys.size();
 }
 
+/// Naive first-encounter labels of the rows grouped on a column subset:
+/// row i's label is the number of distinct key-tuples met before its own.
+std::vector<std::uint32_t> naive_labels(const AtomSignatureMatrix& m,
+                                        const std::vector<std::uint32_t>& vps) {
+  std::map<std::vector<std::uint32_t>, std::uint32_t> label_of_key;
+  std::vector<std::uint32_t> labels;
+  for (std::size_t i = 0; i < m.num_prefixes(); ++i) {
+    std::vector<std::uint32_t> key;
+    for (const std::uint32_t vp : vps) key.push_back(m.cell(i, vp));
+    const auto next = static_cast<std::uint32_t>(label_of_key.size());
+    labels.push_back(label_of_key.emplace(std::move(key), next).first->second);
+  }
+  return labels;
+}
+
+/// Per-row atom index of `atoms` (rows in snapshot.prefixes order).
+std::vector<std::uint32_t> labels_of(const AtomSet& atoms) {
+  std::vector<std::uint32_t> labels;
+  for (const bgp::PrefixId p : atoms.snapshot->prefixes) {
+    labels.push_back(atoms.atom_of.at(p));
+  }
+  return labels;
+}
+
 std::vector<std::uint32_t> subset_of(unsigned mask) {
   std::vector<std::uint32_t> vps;
   for (std::uint32_t c = 0; c < 32; ++c) {
@@ -79,50 +104,19 @@ TEST(VpValue, MaskedPartitionMatchesNaiveGroupingOnEverySubset) {
   const auto snap = oracle_snapshot();
   const auto m = AtomSignatureMatrix::build(snap);
   ASSERT_EQ(m.num_vps(), 8u);
-  const std::size_t n = m.num_prefixes();
 
-  for (unsigned mask = 0; mask < (1u << 8); ++mask) {
-    const auto vps = subset_of(mask);
-    const auto labels = masked_partition(m, vps);
-    ASSERT_EQ(labels.size(), n);
-
-    // Same label iff same key tuple (pairwise, exhaustive).
-    std::map<std::vector<std::uint32_t>, std::uint32_t> label_of_key;
-    std::uint32_t max_label = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::vector<std::uint32_t> key;
-      for (const std::uint32_t vp : vps) key.push_back(m.cell(i, vp));
-      const auto [it, inserted] = label_of_key.emplace(key, labels[i]);
-      ASSERT_EQ(it->second, labels[i]) << "mask " << mask << " row " << i;
-      if (inserted) {
-        // Canonical numbering: a class first met at row i gets the next
-        // unused label, so labels appear in first-encounter order.
-        ASSERT_EQ(labels[i], label_of_key.size() - 1)
-            << "mask " << mask << " row " << i;
-      }
-      max_label = std::max(max_label, labels[i]);
-    }
-    EXPECT_EQ(masked_groups(m, vps), naive_groups(m, vps)) << "mask " << mask;
-    if (n > 0) {
-      EXPECT_EQ(max_label + 1, naive_groups(m, vps));
-    }
-  }
-}
-
-TEST(VpValue, RefinementGainMatchesBruteForceOnEverySubset) {
-  const auto snap = oracle_snapshot();
-  const auto m = AtomSignatureMatrix::build(snap);
-
-  for (unsigned mask = 0; mask < (1u << 8); ++mask) {
-    const auto vps = subset_of(mask);
-    const std::size_t base = masked_groups(m, vps);
-    for (std::uint32_t c = 0; c < 8; ++c) {
-      if (mask & (1u << c)) continue;
-      auto with = vps;
-      with.push_back(c);
-      EXPECT_EQ(refinement_gain(m, vps, c), masked_groups(m, with) - base)
-          << "mask " << mask << " candidate " << c;
-    }
+  // An empty vp_subset means every column, so the zero-column mask is
+  // left out.
+  for (unsigned mask = 1; mask < (1u << 8); ++mask) {
+    AtomOptions masked;
+    masked.vp_subset = subset_of(mask);
+    const AtomSet atoms = compute_atoms(snap, masked);
+    // Same atom iff same key tuple, and atoms numbered in first-encounter
+    // row order.
+    EXPECT_EQ(labels_of(atoms), naive_labels(m, masked.vp_subset))
+        << "mask " << mask;
+    EXPECT_EQ(atoms.atoms.size(), naive_groups(m, masked.vp_subset))
+        << "mask " << mask;
   }
 }
 
@@ -132,6 +126,12 @@ TEST(VpValue, GreedyChoosesMaxGainWithLexTieBreakEveryStep) {
   const auto selection = select_vps(m);
 
   std::vector<std::uint32_t> selected;
+  // Marginal refinement of column c beyond `selected`, by brute force.
+  const auto gain_of = [&](std::uint32_t c) {
+    auto with = selected;
+    with.push_back(c);
+    return naive_groups(m, with) - naive_groups(m, selected);
+  };
   for (const auto& step : selection.steps) {
     // Oracle the argmax: the chosen column's gain equals the maximum
     // marginal refinement over all unselected columns.
@@ -140,9 +140,9 @@ TEST(VpValue, GreedyChoosesMaxGainWithLexTieBreakEveryStep) {
       if (std::find(selected.begin(), selected.end(), c) != selected.end()) {
         continue;
       }
-      best_gain = std::max(best_gain, refinement_gain(m, selected, c));
+      best_gain = std::max(best_gain, gain_of(c));
     }
-    EXPECT_EQ(step.gain, refinement_gain(m, selected, step.vp));
+    EXPECT_EQ(step.gain, gain_of(step.vp));
     EXPECT_EQ(step.gain, best_gain);
     EXPECT_GE(step.gain, 1u);
 
@@ -153,7 +153,7 @@ TEST(VpValue, GreedyChoosesMaxGainWithLexTieBreakEveryStep) {
           std::find(selected.begin(), selected.end(), c) != selected.end()) {
         continue;
       }
-      if (refinement_gain(m, selected, c) != best_gain) continue;
+      if (gain_of(c) != best_gain) continue;
       bool chosen_not_greater = true;  // chosen <= c lexicographically
       for (std::size_t i = 0; i < m.num_prefixes(); ++i) {
         if (m.cell(i, step.vp) != m.cell(i, c)) {
@@ -257,11 +257,15 @@ TEST(VpValue, InvariantUnderColumnPermutation) {
     }
   }
 
-  // masked_partition itself is independent of the order columns are
-  // listed in.
-  const std::vector<std::uint32_t> fwd = {0, 2, 5};
-  const std::vector<std::uint32_t> rev = {5, 0, 2};
-  EXPECT_EQ(masked_partition(m1, fwd), masked_partition(m1, rev));
+  // The masked partition itself does not depend on the order of the
+  // columns: the twin holds snap's columns {0, 2, 5} at {5, 7, 2}, so its
+  // subset {2, 5, 7} lists them as {5, 0, 2}.
+  AtomOptions fwd;
+  fwd.vp_subset = {0, 2, 5};
+  AtomOptions rotated;
+  rotated.vp_subset = {2, 5, 7};
+  EXPECT_EQ(partition_fingerprint(compute_atoms(snap, fwd)),
+            partition_fingerprint(compute_atoms(permuted, rotated)));
 }
 
 TEST(VpValue, FidelityMonotoneAndStepsPrefixInBudget) {
@@ -305,8 +309,6 @@ TEST(VpValue, UnlimitedBudgetReproducesFullPartitionBitIdentically) {
   const AtomSet full = compute_atoms(snap);
   EXPECT_EQ(selection.full_groups, full.atoms.size());
   EXPECT_EQ(selection.fingerprint, partition_fingerprint(full));
-  EXPECT_EQ(selection.fingerprint,
-            masked_partition_fingerprint(m, selection.vps));
 
   // Masked compute_atoms over the selected subset: same partition.
   AtomOptions masked;
@@ -350,12 +352,12 @@ TEST(VpValue, RandIndexAndSplitDistanceAgainstDefinition) {
   const auto selection = select_vps(m);
   std::vector<std::uint32_t> all(m.num_vps());
   for (std::uint32_t c = 0; c < m.num_vps(); ++c) all[c] = c;
-  const auto full = masked_partition(m, all);
+  const auto full = naive_labels(m, all);
 
   std::vector<std::uint32_t> selected;
   for (const auto& step : selection.steps) {
     selected.push_back(step.vp);
-    const auto labels = masked_partition(m, selected);
+    const auto labels = naive_labels(m, selected);
     // split_distance: classes still missing vs the full partition.
     EXPECT_EQ(step.split_distance, selection.full_groups - step.groups);
     // Rand index per definition: agreeing pairs / all pairs.
@@ -395,15 +397,6 @@ TEST(VpValue, EmptyAndDegenerateMatrices) {
   EXPECT_TRUE(sel2.steps.empty());
   EXPECT_EQ(sel2.full_groups, 1u);
   EXPECT_EQ(sel2.fidelity, 1.0);
-}
-
-TEST(VpValue, OutOfRangeColumnsThrow) {
-  const auto snap = oracle_snapshot();
-  const auto m = AtomSignatureMatrix::build(snap);
-  const std::vector<std::uint32_t> bad = {0, 99};
-  EXPECT_THROW(masked_partition(m, bad), std::invalid_argument);
-  EXPECT_THROW(masked_groups(m, bad), std::invalid_argument);
-  EXPECT_THROW(refinement_gain(m, {}, 99), std::invalid_argument);
 }
 
 // ------------------------------------------------- masked incremental
@@ -462,10 +455,10 @@ TEST(VpValue, MaskedIncrementalTracksMaskedBatchKernels) {
 
     // Masked partition == masking the full twin's maintained tables.
     const SanitizedSnapshot full_rebuilt = inc_full.rebuild_snapshot();
-    const auto full_matrix = AtomSignatureMatrix::build(full_rebuilt);
-    const std::vector<std::uint32_t> cols = {0, 2};
-    EXPECT_EQ(inc_masked.partition_fingerprint(),
-              masked_partition_fingerprint(full_matrix, cols));
+    AtomOptions cols;
+    cols.vp_subset = {0, 2};
+    EXPECT_EQ(partition_fingerprint(inc_masked.atoms()),
+              partition_fingerprint(compute_atoms(full_rebuilt, cols)));
   };
 
   expect_boundary();
